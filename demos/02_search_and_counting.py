@@ -24,21 +24,19 @@ outcome = fbas_search(query, record_windows=True)
 print(f"\nfbas examined {outcome.alignments} windows; "
       f"anchor matched in {outcome.anchor_hits} of them")
 print("first ten windows (position, cost, anchor hit):")
-for pos, cost, hit in list(zip(outcome.window_positions,
-                               outcome.window_costs,
-                               outcome.window_anchor_hits))[:10]:
+for pos, cost, hit in outcome.windows[:10]:
     print(f"  pos {pos:3}  cost {cost}  hit {hit}")
 
 # A window that misses the anchor costs exactly 1; a full match costs
 # exactly len(pattern): the anchor comparison is never repeated.
-matched = outcome.window_positions.index(outcome.positions[0])
+cost_at = {pos: cost for pos, cost, _ in outcome.windows}
 print(f"\nmatched window at pos {outcome.positions[0]} cost: "
-      f"{outcome.window_costs[matched]} (= pattern length {len(pattern)})")
+      f"{cost_at[outcome.positions[0]]} (= pattern length {len(pattern)})")
 
 # 3. bmh and fbas share the shift rule, so they visit identical windows.
 bmh = bmh_search(query, record_windows=True)
-print(f"\nbmh visited the same alignment sequence: "
-      f"{bmh.window_positions == outcome.window_positions}")
+same = [w[0] for w in bmh.windows] == [w[0] for w in outcome.windows]
+print(f"\nbmh visited the same alignment sequence: {same}")
 print(f"bmh spent {bmh.comparisons} comparisons vs fbas {outcome.comparisons} "
       "on those same windows")
 

@@ -45,7 +45,6 @@ from .match import (
     Mode,
     SearchOutcome,
     SearchQuery,
-    ShiftTable,
     bmh_search,
     build_shift_table,
     char_probability,
@@ -55,7 +54,7 @@ from .match import (
     naive_search,
     search,
 )
-from .metrics import ComparisonCounter, DerivedStats, aggregate_stats, derive_stats
+from .metrics import DerivedStats, aggregate_stats, derive_stats
 
 __version__ = "0.1.0"
 
@@ -65,7 +64,6 @@ __all__ = [
     "BenchReport",
     "BenchRow",
     "BenchTotals",
-    "ComparisonCounter",
     "ComparisonEstimate",
     "Corpus",
     "CorpusMeta",
@@ -82,7 +80,6 @@ __all__ = [
     "ReportFormat",
     "SearchOutcome",
     "SearchQuery",
-    "ShiftTable",
     "aggregate_stats",
     "bmh_search",
     "build_shift_table",

@@ -12,12 +12,10 @@ import csv
 import enum
 import io
 import json
-import sys
 from dataclasses import dataclass
-from pathlib import Path
 
-from ._bytes import as_bytes, display_byte
-from .errors import EmptyCorpus, EmptyPattern, IoFailure, MatcherDisagreement
+from ._bytes import as_bytes, display_byte, read_source
+from .errors import EmptyCorpus, EmptyPattern, MatcherDisagreement
 from .freq import AnchorSelection, FrequencyTable, default_table, select_anchor
 from .match import Mode, SearchQuery, bmh_search, fbas_search, kmp_search, naive_search
 from .metrics import DerivedStats, aggregate_stats, derive_stats, present
@@ -60,19 +58,8 @@ def load_corpus(source, lowercase: bool = False, name: str | None = None) -> Cor
     ASCII letters only. Raises IoFailure on unreadable sources and
     EmptyCorpus when nothing was read.
     """
-    try:
-        if hasattr(source, "read"):
-            data = source.read()
-            src_name = name or str(getattr(source, "name", "<stream>"))
-        elif str(source) == "-":
-            data = sys.stdin.buffer.read()
-            src_name = name or "<stdin>"
-        else:
-            data = Path(source).read_bytes()
-            src_name = name or str(source)
-    except OSError as exc:
-        raise IoFailure(f"cannot read corpus from {source}: {exc}") from exc
-    data = as_bytes(data)
+    data, src_name = read_source(source, "corpus")
+    src_name = name or src_name
     if not data:
         raise EmptyCorpus(f"corpus {src_name} is empty")
     if lowercase:
@@ -83,16 +70,7 @@ def load_corpus(source, lowercase: bool = False, name: str | None = None) -> Cor
 def load_patterns(source) -> PatternSet:
     """Read a pattern list: UTF-8, one pattern per line, taken verbatim
     to end of line. Lines starting with '#' and blank lines are skipped."""
-    try:
-        if hasattr(source, "read"):
-            raw = source.read()
-        elif str(source) == "-":
-            raw = sys.stdin.buffer.read()
-        else:
-            raw = Path(source).read_bytes()
-    except OSError as exc:
-        raise IoFailure(f"cannot read patterns from {source}: {exc}") from exc
-    raw = as_bytes(raw)
+    raw, _ = read_source(source, "patterns")
     patterns = []
     for line in raw.split(b"\n"):
         line = line.rstrip(b"\r")

@@ -2,28 +2,20 @@
 tables, and run comparison-count benchmarks.
 
 Exit codes: 0 success (for ``search``: at least one match), 1 no match
-(``search`` only), 2 usage or I/O errors.
+(``search`` only), 2 usage or I/O errors, 141 when the reader closed
+stdout early (as for a filter killed by SIGPIPE, e.g. under ``| head``).
 """
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from pathlib import Path
 
-from ._bytes import display_byte
+from ._bytes import display_byte, read_source
 from .bench import ReportFormat, load_corpus, load_patterns, render_report, run_benchmark
-from .errors import FbasError, IoFailure
+from .errors import FbasError
 from .freq import default_table, format_table, load_table, select_anchor, table_from_corpus
 from .match import ALGORITHMS, Mode, SearchQuery, search
-
-
-def _read_input(source: str) -> bytes:
-    if source == "-":
-        return sys.stdin.buffer.read()
-    try:
-        return Path(source).read_bytes()
-    except OSError as exc:
-        raise IoFailure(f"cannot read {source}: {exc}") from exc
 
 
 def _resolve_table(args):
@@ -33,7 +25,7 @@ def _resolve_table(args):
 
 
 def _cmd_search(args) -> int:
-    data = _read_input(args.input)
+    data, _ = read_source(args.input, "input")
     if args.lowercase:
         data = data.lower()
     table = _resolve_table(args)
@@ -123,7 +115,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Point stdout at devnull so the flush at interpreter exit cannot
+        # fail again on the closed pipe.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (FbasError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

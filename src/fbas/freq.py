@@ -9,13 +9,14 @@ before anything else in each window.
 """
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping
 
-from ._bytes import as_bytes, byte_value
+from ._bytes import as_bytes, byte_value, display_byte, read_source
 from .errors import EmptyCorpus, EmptyPattern
 
 DEFAULT_SCORE = 50
@@ -132,45 +133,64 @@ def select_anchor(pattern, table: FrequencyTable | None = None) -> AnchorSelecti
     return AnchorSelection(index=best_index, character=pat[best_index], score=best_score)
 
 
+def _file_key(b: int) -> str:
+    # '#' would read as a comment and a literal uppercase letter loads as its
+    # lowercase letter, so both are escaped along with the non-printable bytes.
+    if b == 0x23 or 0x41 <= b <= 0x5A:
+        return f"\\x{b:02x}"
+    return display_byte(b)
+
+
 def format_table(table: FrequencyTable) -> str:
     """Render a table in the loadable file format, one ``<char>\\t<score>``
-    line per entry, ordered by ascending score then byte value."""
+    line per entry, ordered by ascending score then byte value.
+
+    Printable ASCII bytes are written as themselves; control bytes,
+    non-ASCII bytes, '#' and uppercase letters as ``\\xNN``, so that
+    ``load_table`` gives back exactly the same entries.
+    """
     lines = [
-        f"{chr(b)}\t{s}"
+        f"{_file_key(b)}\t{s}"
         for b, s in sorted(table.entries.items(), key=lambda kv: (kv[1], kv[0]))
     ]
     return "\n".join(lines) + "\n" if lines else ""
 
 
-def load_table(source, name: str | None = None) -> FrequencyTable:
-    """Load a custom table from a file path or a text stream.
+_ESCAPED_KEY = re.compile(r"\\x([0-9a-fA-F]{2})")
 
-    Format: one entry per line as ``<character><TAB><score>``, UTF-8,
-    scores 1..50. Lines starting with '#' and blank lines are ignored.
-    Unlisted characters default to 50. Uppercase ASCII letters fold to
-    lowercase, matching how scores are looked up.
+
+def load_table(source, name: str | None = None) -> FrequencyTable:
+    """Load a custom table from a file path, '-' (stdin), or a stream.
+
+    Format: one entry per line as ``<key><TAB><score>``, UTF-8, scores
+    1..50. A key is one ASCII character or a byte written as ``\\xNN``
+    (two hex digits). Non-ASCII characters are rejected: a table scores
+    single bytes, and the UTF-8 bytes of such a character would never
+    match it. Lines starting with '#' and blank lines are ignored.
+    Unlisted bytes default to 50. Literal uppercase ASCII letters fold to
+    lowercase, matching how scores are looked up; escaped bytes are kept
+    as written. Raises IoFailure when the source cannot be read.
     """
-    if hasattr(source, "read"):
-        text = source.read()
-        label = name or str(getattr(source, "name", "custom"))
-    else:
-        text = Path(source).read_text(encoding="utf-8")
-        label = name or Path(source).name
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
+    data, src_name = read_source(source, "frequency table")
+    label = name or Path(src_name).name
+    text = data.decode("utf-8")
 
     entries: dict[int, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line or line.startswith("#"):
             continue
-        char, sep, score_text = line.partition("\t")
-        if not sep or len(char) != 1:
+        key, sep, score_text = line.partition("\t")
+        escaped = _ESCAPED_KEY.fullmatch(key)
+        if not sep or not (escaped or len(key) == 1):
             raise ValueError(f"line {lineno}: expected '<character><TAB><score>', got {line!r}")
-        code = ord(char)
-        if code > 255:
-            raise ValueError(f"line {lineno}: character {char!r} is not a single byte")
-        if 0x41 <= code <= 0x5A:
-            code += 0x20
+        if escaped:
+            code = int(escaped.group(1), 16)
+        elif key.isascii():
+            code = ord(key.lower())
+        else:
+            raise ValueError(
+                f"line {lineno}: {key!r} is not an ASCII character; write a byte as \\xNN"
+            )
         score = int(score_text.strip())
         if not MIN_SCORE <= score <= MAX_SCORE:
             raise ValueError(f"line {lineno}: score {score} out of range 1..50")

@@ -9,19 +9,19 @@ search phase. Preprocessing comparisons are not counted.
 The fbas matcher keeps Horspool's bad-character shift rule untouched
 and changes only the verification order inside a window: the pattern's
 rarest byte (the anchor) is tested first, so a window whose anchor
-mismatches is rejected after exactly one comparison.
+mismatches is rejected after exactly one comparison. Both Horspool
+matchers run the same walk and differ only in that order, so they
+examine the same sequence of windows by construction.
 """
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from types import MappingProxyType
-from typing import Mapping
+from typing import Sequence
 
 from ._bytes import as_bytes, byte_value
 from .errors import EmptyCorpus, EmptyPattern, InvalidProbability
-from .freq import FrequencyTable, default_table, select_anchor
-from .metrics import ComparisonCounter
+from .freq import FrequencyTable, select_anchor
 
 
 class Mode(enum.Enum):
@@ -56,102 +56,62 @@ class SearchOutcome:
     """Match positions plus instrumentation for one search.
 
     ``alignments`` counts window positions examined; ``anchor_hits`` is
-    non-zero only for the fbas matcher. When window recording was on,
-    the three ``window_*`` lists hold, per examined alignment, its text
-    position, its comparison cost, and (fbas only) whether the anchor
-    test succeeded there.
+    non-zero only for the fbas matcher. When a Horspool matcher was
+    asked to record windows, ``windows`` holds one
+    ``(position, cost, anchor_hit)`` tuple per examined alignment, in
+    order; the costs sum to ``comparisons``.
     """
 
     positions: list[int] = field(default_factory=list)
     comparisons: int = 0
     alignments: int = 0
     anchor_hits: int = 0
-    window_positions: list[int] | None = None
-    window_costs: list[int] | None = None
-    window_anchor_hits: list[bool] | None = None
+    windows: list[tuple[int, int, bool]] | None = None
 
     @property
     def found(self) -> bool:
         return bool(self.positions)
 
 
-@dataclass(frozen=True)
-class ShiftTable:
-    """Horspool bad-character shifts for one pattern.
+def build_shift_table(pattern) -> list[int]:
+    """Build Horspool's bad-character table as a 256-entry list.
 
-    ``entries[c]`` is the distance from the last occurrence of byte c
-    in the pattern prefix (all but the final byte) to the pattern end.
-    Bytes absent from that prefix shift by the full pattern length.
+    Entry c is m - 1 - (the last index of byte c in the pattern prefix,
+    all but the final byte), or m for bytes absent from that prefix, so
+    every shift lies in 1..m. For m = 1 every byte shifts by 1.
     """
-
-    entries: Mapping[int, int]
-    pattern_length: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
-
-    def step(self, last_window_byte: int) -> int:
-        """Shift distance for a window ending in the given byte, in 1..m."""
-        return self.entries.get(last_window_byte, self.pattern_length)
-
-
-def build_shift_table(pattern) -> ShiftTable:
-    """Build the bad-character table: for each byte in the pattern prefix,
-    m - 1 - (its last prefix index). For m = 1 the table is empty and
-    every byte shifts by 1."""
     pat = as_bytes(pattern)
     m = len(pat)
     if m == 0:
         raise EmptyPattern("cannot build a shift table for an empty pattern")
-    entries: dict[int, int] = {}
+    shifts = [m] * 256
     for i in range(m - 1):
-        entries[pat[i]] = m - 1 - i
-    return ShiftTable(entries, m)
+        shifts[pat[i]] = m - 1 - i
+    return shifts
 
 
-def _empty_outcome(record_windows: bool) -> SearchOutcome:
-    if record_windows:
-        return SearchOutcome(window_positions=[], window_costs=[], window_anchor_hits=[])
-    return SearchOutcome()
-
-
-def naive_search(query: SearchQuery, record_windows: bool = False) -> SearchOutcome:
+def naive_search(query: SearchQuery) -> SearchOutcome:
     """Check every window left to right; the correctness oracle for the rest."""
     text, pat = query.text, query.pattern
     n, m = len(text), len(pat)
     if n < m:
-        return _empty_outcome(record_windows)
+        return SearchOutcome()
     first_only = query.mode is Mode.FIRST_MATCH
-    counter = ComparisonCounter(record_windows)
     positions: list[int] = []
-    window_positions: list[int] | None = [] if record_windows else None
-    alignments = 0
+    comparisons = 0
 
     for pos in range(n - m + 1):
-        alignments += 1
-        if window_positions is not None:
-            window_positions.append(pos)
-        cost = 0
-        matched = True
         for i in range(m):
-            cost += 1
+            comparisons += 1
             if text[pos + i] != pat[i]:
-                matched = False
                 break
-        counter.add_window(cost)
-        if matched:
+        else:
             positions.append(pos)
             if first_only:
                 break
 
-    return SearchOutcome(
-        positions=positions,
-        comparisons=counter.total,
-        alignments=alignments,
-        window_positions=window_positions,
-        window_costs=counter.per_alignment,
-        window_anchor_hits=[False] * alignments if record_windows else None,
-    )
+    # pos is the last window examined
+    return SearchOutcome(positions=positions, comparisons=comparisons, alignments=pos + 1)
 
 
 def _failure_function(pat: bytes) -> list[int]:
@@ -168,7 +128,7 @@ def _failure_function(pat: bytes) -> list[int]:
     return fail
 
 
-def kmp_search(query: SearchQuery, record_windows: bool = False) -> SearchOutcome:
+def kmp_search(query: SearchQuery) -> SearchOutcome:
     """Knuth-Morris-Pratt with the classic failure function.
 
     Only search-phase comparisons are counted; building the failure
@@ -179,28 +139,19 @@ def kmp_search(query: SearchQuery, record_windows: bool = False) -> SearchOutcom
     text, pat = query.text, query.pattern
     n, m = len(text), len(pat)
     if n < m:
-        return _empty_outcome(record_windows)
+        return SearchOutcome()
     first_only = query.mode is Mode.FIRST_MATCH
     fail = _failure_function(pat)
-    counter = ComparisonCounter(record_windows)
     positions: list[int] = []
-    window_positions: list[int] | None = [] if record_windows else None
-    alignments = 0
+    comparisons = alignments = 0
     last_start = -1
-    window_cost = 0
 
     i = j = 0
     while i < n:
-        start = i - j
-        if start != last_start:
-            if last_start >= 0:
-                counter.add_window(window_cost)
-            window_cost = 0
+        if i - j != last_start:
+            last_start = i - j
             alignments += 1
-            last_start = start
-            if window_positions is not None:
-                window_positions.append(start)
-        window_cost += 1
+        comparisons += 1
         if text[i] == pat[j]:
             i += 1
             j += 1
@@ -213,61 +164,68 @@ def kmp_search(query: SearchQuery, record_windows: bool = False) -> SearchOutcom
             j = fail[j - 1]
         else:
             i += 1
-    if last_start >= 0:
-        counter.add_window(window_cost)
+
+    return SearchOutcome(positions=positions, comparisons=comparisons, alignments=alignments)
+
+
+def _horspool_walk(
+    query: SearchQuery, order: Sequence[int], anchored: bool, record_windows: bool
+) -> SearchOutcome:
+    """Visit Horspool's windows, verifying each in the given order.
+
+    ``order`` lists the m pattern positions in the order they are
+    tested; testing stops at the first mismatch. The shift after every
+    window comes from the last window byte, so the window sequence
+    depends on the text and pattern only, never on ``order``. When
+    ``anchored``, a window whose first tested byte matches counts as an
+    anchor hit.
+    """
+    text, pat = query.text, query.pattern
+    m = len(pat)
+    limit = len(text) - m
+    first_only = query.mode is Mode.FIRST_MATCH
+    shifts = build_shift_table(pat)
+    first, rest = order[0], order[1:]
+    first_byte = pat[first]
+    last = m - 1
+    positions: list[int] = []
+    windows: list[tuple[int, int, bool]] | None = [] if record_windows else None
+    alignments = hits = extra = 0
+
+    pos = 0
+    while pos <= limit:
+        alignments += 1
+        cost = 1
+        hit = text[pos + first] == first_byte
+        if hit:
+            hits += 1
+            for i in rest:
+                cost += 1
+                if text[pos + i] != pat[i]:
+                    break
+            else:
+                positions.append(pos)
+            extra += cost - 1
+        if windows is not None:
+            windows.append((pos, cost, hit and anchored))
+        if first_only and positions:
+            break
+        pos += shifts[text[pos + last]]
 
     return SearchOutcome(
         positions=positions,
-        comparisons=counter.total,
+        comparisons=alignments + extra,
         alignments=alignments,
-        window_positions=window_positions,
-        window_costs=counter.per_alignment,
-        window_anchor_hits=[False] * alignments if record_windows else None,
+        anchor_hits=hits if anchored else 0,
+        windows=windows,
     )
 
 
 def bmh_search(query: SearchQuery, record_windows: bool = False) -> SearchOutcome:
     """Boyer-Moore-Horspool: verify right to left, shift by the
     bad-character rule on the last window byte."""
-    text, pat = query.text, query.pattern
-    n, m = len(text), len(pat)
-    if n < m:
-        return _empty_outcome(record_windows)
-    first_only = query.mode is Mode.FIRST_MATCH
-    shift = build_shift_table(pat)
-    counter = ComparisonCounter(record_windows)
-    positions: list[int] = []
-    window_positions: list[int] | None = [] if record_windows else None
-    alignments = 0
-
-    pos = 0
-    limit = n - m
-    while pos <= limit:
-        alignments += 1
-        if window_positions is not None:
-            window_positions.append(pos)
-        cost = 0
-        j = m - 1
-        while j >= 0:
-            cost += 1
-            if text[pos + j] != pat[j]:
-                break
-            j -= 1
-        counter.add_window(cost)
-        if j < 0:
-            positions.append(pos)
-            if first_only:
-                break
-        pos += shift.step(text[pos + m - 1])
-
-    return SearchOutcome(
-        positions=positions,
-        comparisons=counter.total,
-        alignments=alignments,
-        window_positions=window_positions,
-        window_costs=counter.per_alignment,
-        window_anchor_hits=[False] * alignments if record_windows else None,
-    )
+    m = len(query.pattern)
+    return _horspool_walk(query, range(m - 1, -1, -1), anchored=False, record_windows=record_windows)
 
 
 def fbas_search(
@@ -284,61 +242,9 @@ def fbas_search(
     Shifts use the same bad-character rule as bmh_search, on the last
     window byte, whether or not the window matched.
     """
-    text, pat = query.text, query.pattern
-    n, m = len(text), len(pat)
-    if n < m:
-        return _empty_outcome(record_windows)
-    first_only = query.mode is Mode.FIRST_MATCH
-    if table is None:
-        table = default_table()
-    sel = select_anchor(pat, table)
-    a = sel.index
-    anchor_char = sel.character
-    shift = build_shift_table(pat)
-    counter = ComparisonCounter(record_windows)
-    positions: list[int] = []
-    window_positions: list[int] | None = [] if record_windows else None
-    window_anchor_hits: list[bool] | None = [] if record_windows else None
-    alignments = 0
-    anchor_hits = 0
-
-    pos = 0
-    limit = n - m
-    while pos <= limit:
-        alignments += 1
-        if window_positions is not None:
-            window_positions.append(pos)
-        cost = 1
-        hit = text[pos + a] == anchor_char
-        matched = False
-        if hit:
-            anchor_hits += 1
-            matched = True
-            for i in range(m):
-                if i == a:
-                    continue
-                cost += 1
-                if text[pos + i] != pat[i]:
-                    matched = False
-                    break
-        counter.add_window(cost)
-        if window_anchor_hits is not None:
-            window_anchor_hits.append(hit)
-        if matched:
-            positions.append(pos)
-            if first_only:
-                break
-        pos += shift.step(text[pos + m - 1])
-
-    return SearchOutcome(
-        positions=positions,
-        comparisons=counter.total,
-        alignments=alignments,
-        anchor_hits=anchor_hits,
-        window_positions=window_positions,
-        window_costs=counter.per_alignment,
-        window_anchor_hits=window_anchor_hits,
-    )
+    a = select_anchor(query.pattern, table).index
+    order = [a, *(i for i in range(len(query.pattern)) if i != a)]
+    return _horspool_walk(query, order, anchored=True, record_windows=record_windows)
 
 
 ALGORITHMS = ("naive", "kmp", "bmh", "fbas")
@@ -348,17 +254,16 @@ def search(
     query: SearchQuery,
     algorithm: str = "fbas",
     table: FrequencyTable | None = None,
-    record_windows: bool = False,
 ) -> SearchOutcome:
     """Run one of the four matchers by name."""
     if algorithm == "fbas":
-        return fbas_search(query, table, record_windows=record_windows)
+        return fbas_search(query, table)
     if algorithm == "naive":
-        return naive_search(query, record_windows=record_windows)
+        return naive_search(query)
     if algorithm == "kmp":
-        return kmp_search(query, record_windows=record_windows)
+        return kmp_search(query)
     if algorithm == "bmh":
-        return bmh_search(query, record_windows=record_windows)
+        return bmh_search(query)
     raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
 
 

@@ -1,33 +1,14 @@
-"""Comparison counting and derived benchmark statistics.
+"""Derived benchmark statistics and their display rounding.
 
-A comparison is one equality test between a text byte and a pattern
-byte during the search phase. Preprocessing work (shift tables, anchor
-scans, failure functions) is never counted.
+Statistics are computed from comparison counts (equality tests between
+a text byte and a pattern byte during the search phase) and kept at full
+precision; rounding happens only when a report is rendered.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_UP
 from typing import Sequence
-
-
-class ComparisonCounter:
-    """Tallies comparisons, optionally keeping per-window costs.
-
-    When window recording is on, ``per_alignment`` lists the cost of
-    each examined alignment in order and always sums to ``total``.
-    """
-
-    __slots__ = ("total", "per_alignment")
-
-    def __init__(self, record_windows: bool = False):
-        self.total = 0
-        self.per_alignment: list[int] | None = [] if record_windows else None
-
-    def add_window(self, cost: int) -> None:
-        self.total += cost
-        if self.per_alignment is not None:
-            self.per_alignment.append(cost)
 
 
 @dataclass(frozen=True)
@@ -86,15 +67,18 @@ def aggregate_stats(counts: Sequence[tuple[int, int, int, int]]) -> DerivedStats
     )
 
 
+def _quantize(value: float, ndigits: int) -> Decimal:
+    # Decimal of the shortest repr, so 0.575 rounds as written, not as stored.
+    return Decimal(repr(value)).quantize(Decimal(1).scaleb(-ndigits), rounding=ROUND_HALF_UP)
+
+
 def round_half_away(value: float, ndigits: int = 2) -> float:
     """Round with ties going away from zero (display convention)."""
-    q = Decimal(1).scaleb(-ndigits)
-    return float(Decimal(repr(value)).quantize(q, rounding=ROUND_HALF_UP))
+    return float(_quantize(value, ndigits))
 
 
 def present(value: float | None, ndigits: int = 2, suffix: str = "") -> str:
     """Format a stat for reports: fixed decimals, 'n/a' when undefined."""
     if value is None:
         return "n/a"
-    q = Decimal(1).scaleb(-ndigits)
-    return f"{Decimal(repr(value)).quantize(q, rounding=ROUND_HALF_UP)}{suffix}"
+    return f"{_quantize(value, ndigits)}{suffix}"

@@ -87,12 +87,12 @@ def randomized_suite():
                 if not agreed:
                     tallies["oracle_mismatches"] += 1
 
-                if fbas.window_positions != bmh.window_positions:
+                if [w[0] for w in fbas.windows] != [w[0] for w in bmh.windows]:
                     tallies["trace_mismatches"] += 1
 
                 extra = 0
                 well_formed = True
-                for cost, hit in zip(fbas.window_costs, fbas.window_anchor_hits):
+                for _, cost, hit in fbas.windows:
                     if not 1 <= cost <= m:
                         well_formed = False
                     if hit:
@@ -157,7 +157,7 @@ def test_criterion_06_estimator():
     text = bytes(rng.choices(b"abcd", k=n))
     pattern = b"ab"
     outcome = fbas_search(SearchQuery(text, pattern), record_windows=True)
-    costs = outcome.window_costs
+    costs = [cost for _, cost, _ in outcome.windows]
     mean = statistics.fmean(costs)
     stderr = statistics.stdev(costs) / math.sqrt(len(costs))
     model = expected_comparisons(1 / sigma, len(pattern)).expected_comparisons

@@ -1,5 +1,8 @@
 """CLI subcommands: output contracts, exit codes, file handling."""
 import json
+import os
+import subprocess
+import sys
 
 from conftest import DATA_DIR
 from helpers import run_cli
@@ -64,6 +67,26 @@ class TestSearch:
         assert code == 2
         assert "error:" in err
 
+    def test_closed_stdout_exits_quietly(self, tmp_path):
+        # Far more output than a pipe buffers, so the writer is still
+        # writing when the reader goes away.
+        text = tmp_path / "e.txt"
+        text.write_bytes(b"e" * 200_000)
+        src = str(DATA_DIR.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "fbas", "search", "--all", "e", str(text)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.readline() == b"0\n"
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert stderr == b""
+        assert code == 141
+
 
 class TestAnchor:
     def test_nel_mezzo(self):
@@ -82,6 +105,12 @@ class TestAnchor:
     def test_empty_pattern_exits_two(self):
         code, _, err = run_cli(["anchor", ""])
         assert code == 2
+
+    def test_unreadable_freq_table_exits_two(self, tmp_path):
+        for path in (tmp_path / "missing.tsv", tmp_path):
+            code, out, err = run_cli(["anchor", "oscura", "--freq-table", str(path)])
+            assert (code, out) == (2, "")
+            assert err.startswith("error: cannot read frequency table")
 
 
 class TestTable:

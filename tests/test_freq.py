@@ -2,7 +2,7 @@
 import io
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fbas import (
@@ -175,6 +175,9 @@ class TestTableFiles:
             load_table(io.StringIO("zz\t3\n"))
         with pytest.raises(ValueError):
             load_table(io.StringIO("no tab here\n"))
+        for bad_escape in ("\\xg1", "\\x1", "\\x123"):
+            with pytest.raises(ValueError):
+                load_table(io.StringIO(f"{bad_escape}\t1\n"))
 
     def test_out_of_range_score_rejected(self):
         with pytest.raises(ValueError):
@@ -184,3 +187,26 @@ class TestTableFiles:
         table = load_table(io.StringIO("Q\t4\n"))
         assert table.score("q") == 4
         assert table.score("Q") == 4
+
+    @pytest.mark.parametrize("byte", [0x09, 0x0B, 0x1C, 0x85, ord("#"), ord("Q")])
+    def test_unsafe_bytes_written_escaped(self, byte):
+        text = format_table(FrequencyTable({byte: 3}))
+        assert text == f"\\x{byte:02x}\t3\n"
+        assert dict(load_table(io.StringIO(text)).entries) == {byte: 3}
+
+    def test_escaped_keys_load_as_written(self):
+        table = load_table(io.StringIO("\\xC3\t2\n\\x5a\t4\n\\\t5\n"))
+        assert dict(table.entries) == {0xC3: 2, ord("Z"): 4, ord("\\"): 5}
+        # the lead byte of every two-byte UTF-8 letter such as 'à' is 0xC3
+        assert select_anchor("città", table).score == 2
+
+    def test_non_ascii_character_rejected(self):
+        with pytest.raises(ValueError, match="not an ASCII character"):
+            load_table(io.StringIO("à\t1\n"))
+
+    @given(st.dictionaries(st.integers(0, 255), st.integers(1, 50)))
+    @example({b: b % 50 + 1 for b in range(256)})
+    def test_round_trip_property(self, entries):
+        table = FrequencyTable(entries)
+        reloaded = load_table(io.StringIO(format_table(table)))
+        assert dict(reloaded.entries) == entries

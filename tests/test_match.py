@@ -41,25 +41,25 @@ def search_cases(draw):
 class TestShiftTable:
     def test_oscura_by_hand(self):
         table = build_shift_table("oscura")
-        assert dict(table.entries) == {
+        assert len(table) == 256
+        shifted = {b: s for b, s in enumerate(table) if s != 6}
+        assert shifted == {
             ord("o"): 5, ord("s"): 4, ord("c"): 3, ord("u"): 2, ord("r"): 1,
         }
-        assert table.pattern_length == 6
 
     def test_repeated_prefix_byte(self):
         table = build_shift_table("aa")
-        assert dict(table.entries) == {ord("a"): 1}
+        assert {b: s for b, s in enumerate(table) if s != 2} == {ord("a"): 1}
 
     def test_single_byte_pattern_has_empty_table(self):
-        table = build_shift_table("z")
-        assert dict(table.entries) == {}
-        assert table.step(ord("z")) == 1
+        # no prefix bytes: every byte takes the full shift of m = 1
+        assert build_shift_table("z") == [1] * 256
 
     def test_step_values(self):
         table = build_shift_table("oscura")
-        assert table.step(ord("u")) == 2
-        assert table.step(ord("q")) == 6  # absent byte
-        assert table.step(ord("a")) == 6  # last pattern byte, excluded from prefix
+        assert table[ord("u")] == 2
+        assert table[ord("q")] == 6  # absent byte
+        assert table[ord("a")] == 6  # last pattern byte, excluded from prefix
 
     def test_empty_pattern_rejected(self):
         with pytest.raises(EmptyPattern):
@@ -70,15 +70,15 @@ class TestShiftTable:
         table = build_shift_table(pattern)
         m = len(pattern)
         prefix = pattern[:-1]
+        assert len(table) == 256
         for b in range(256):
-            step = table.step(b)
+            step = table[b]
             assert 1 <= step <= m
             if b in prefix:
                 last = max(i for i in range(m - 1) if pattern[i] == b)
                 assert step == m - 1 - last
             else:
                 assert step == m
-                assert b not in table.entries
 
 
 class TestNaive:
@@ -142,21 +142,20 @@ class TestFbas:
         # anchor of "bz" is 'z' (score 1), which never occurs in the text
         outcome = fbas_search(SearchQuery("xbxx", "bz"), record_windows=True)
         assert outcome.positions == []
-        assert outcome.window_costs == [1] * outcome.alignments
+        assert [cost for _, cost, _ in outcome.windows] == [1] * outcome.alignments
         assert outcome.anchor_hits == 0
 
     def test_full_match_costs_pattern_length(self):
         text = "mi ritrovai per una selva oscura di notte"
         outcome = fbas_search(SearchQuery(text, "oscura"), record_windows=True)
         assert outcome.positions == [text.index("oscura")]
-        matched_window = outcome.window_positions.index(outcome.positions[0])
-        assert outcome.window_costs[matched_window] == 6
-        assert outcome.window_anchor_hits[matched_window] is True
+        by_position = {pos: (cost, hit) for pos, cost, hit in outcome.windows}
+        assert by_position[outcome.positions[0]] == (6, True)
 
     def test_single_byte_pattern_anchor_is_whole_verification(self):
         outcome = fbas_search(SearchQuery("abcabc", "b"), record_windows=True)
         assert outcome.positions == [1, 4]
-        assert all(cost == 1 for cost in outcome.window_costs)
+        assert all(cost == 1 for _, cost, _ in outcome.windows)
         assert outcome.anchor_hits == 2
 
     def test_respects_custom_table(self):
@@ -203,7 +202,7 @@ class TestOracleEquivalence:
             query = SearchQuery(text, pattern, mode)
             fbas = fbas_search(query, record_windows=True)
             bmh = bmh_search(query, record_windows=True)
-            assert fbas.window_positions == bmh.window_positions
+            assert [w[0] for w in fbas.windows] == [w[0] for w in bmh.windows]
 
     @given(search_cases())
     def test_fail_fast_cost_identity(self, case):
@@ -211,14 +210,14 @@ class TestOracleEquivalence:
         outcome = fbas_search(SearchQuery(text, pattern), record_windows=True)
         m = len(pattern)
         extra = 0
-        for cost, hit in zip(outcome.window_costs, outcome.window_anchor_hits):
+        for _, cost, hit in outcome.windows:
             assert 1 <= cost <= m
             if hit:
                 extra += cost - 1
             else:
                 assert cost == 1
         assert outcome.comparisons == outcome.alignments + extra
-        assert outcome.anchor_hits == sum(outcome.window_anchor_hits)
+        assert outcome.anchor_hits == sum(hit for _, _, hit in outcome.windows)
 
     @given(search_cases())
     def test_first_match_never_costs_more(self, case):
@@ -251,6 +250,27 @@ class TestOutcomeInvariants:
     def test_searches_are_pure(self):
         query = SearchQuery("la selva oscura", "selva")
         assert fbas_search(query, record_windows=True) == fbas_search(query, record_windows=True)
+
+
+class TestWindowTrace:
+    @given(search_cases())
+    def test_recorded_windows_sum_to_total(self, case):
+        text, pattern = case
+        for mode in (ALL, FIRST):
+            query = SearchQuery(text, pattern, mode)
+            for matcher in (bmh_search, fbas_search):
+                outcome = matcher(query, record_windows=True)
+                assert len(outcome.windows) == outcome.alignments
+                assert sum(cost for _, cost, _ in outcome.windows) == outcome.comparisons
+                plain = matcher(query)
+                assert (plain.positions, plain.comparisons, plain.alignments, plain.anchor_hits) == (
+                    outcome.positions, outcome.comparisons, outcome.alignments, outcome.anchor_hits)
+            assert not any(hit for _, _, hit in bmh_search(query, record_windows=True).windows)
+
+    def test_recording_off_by_default(self):
+        query = SearchQuery("la selva oscura", "selva")
+        for matcher in (naive_search, kmp_search, bmh_search, fbas_search):
+            assert matcher(query).windows is None
 
 
 class TestSearchDispatch:

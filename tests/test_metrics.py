@@ -1,9 +1,9 @@
-"""Comparison counters and derived statistics."""
+"""Derived statistics and display rounding."""
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fbas import ComparisonCounter, aggregate_stats, derive_stats
+from fbas import aggregate_stats, derive_stats
 from fbas.metrics import present, round_half_away
 
 counts = st.integers(min_value=0, max_value=10**7)
@@ -87,18 +87,3 @@ class TestRounding:
         assert present(0.575, 2, "%") == "0.58%"
         assert present(None) == "n/a"
 
-
-class TestComparisonCounter:
-    @given(st.lists(st.integers(min_value=0, max_value=100), max_size=50))
-    def test_recorded_windows_sum_to_total(self, window_costs):
-        counter = ComparisonCounter(record_windows=True)
-        for cost in window_costs:
-            counter.add_window(cost)
-        assert sum(counter.per_alignment) == counter.total
-        assert counter.per_alignment == window_costs
-
-    def test_recording_off_by_default(self):
-        counter = ComparisonCounter()
-        counter.add_window(3)
-        assert counter.total == 3
-        assert counter.per_alignment is None
