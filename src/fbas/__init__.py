@@ -14,7 +14,6 @@ from .bench import (
     BenchRow,
     BenchTotals,
     Corpus,
-    CorpusMeta,
     PatternSet,
     ReportFormat,
     load_corpus,
@@ -66,7 +65,6 @@ __all__ = [
     "BenchTotals",
     "ComparisonEstimate",
     "Corpus",
-    "CorpusMeta",
     "DerivedStats",
     "EmptyCorpus",
     "EmptyPattern",

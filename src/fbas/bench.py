@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from ._bytes import as_bytes, display_byte, read_source
 from .errors import EmptyCorpus, EmptyPattern, MatcherDisagreement
 from .freq import AnchorSelection, FrequencyTable, default_table, select_anchor
-from .match import Mode, SearchQuery, bmh_search, fbas_search, kmp_search, naive_search
+from .match import ALGORITHMS, Mode, SearchQuery, bmh_search, fbas_search, kmp_search, naive_search
 from .metrics import DerivedStats, aggregate_stats, derive_stats, present
 
 
@@ -82,43 +82,36 @@ def load_patterns(source) -> PatternSet:
 
 @dataclass(frozen=True)
 class BenchRow:
-    """Comparison counts and derived stats for one pattern."""
+    """Comparison counts and derived stats for one pattern. ``counts``
+    maps each matcher name to its count, in ``ALGORITHMS`` order."""
 
     label: str
     pattern: bytes
-    length: int
-    naive: int
-    kmp: int
-    bmh: int
-    fbas: int
+    counts: dict[str, int]
     occurrences: int
     anchor: AnchorSelection
     stats: DerivedStats
     duplicate: bool = False
 
+    @property
+    def length(self) -> int:
+        return len(self.pattern)
+
 
 @dataclass(frozen=True)
 class BenchTotals:
-    """Summed counts plus aggregate stats over all rows."""
+    """Summed counts per matcher plus aggregate stats over all rows."""
 
-    naive: int
-    kmp: int
-    bmh: int
-    fbas: int
+    counts: dict[str, int]
     stats: DerivedStats
-
-
-@dataclass(frozen=True)
-class CorpusMeta:
-    source_name: str
-    length: int
 
 
 @dataclass(frozen=True)
 class BenchReport:
     rows: tuple[BenchRow, ...]
     totals: BenchTotals
-    corpus_meta: CorpusMeta
+    source_name: str
+    corpus_length: int
     mode: Mode
 
 
@@ -162,6 +155,7 @@ def run_benchmark(
         query = SearchQuery(corpus.data, pat, mode)
         reference = naive_search(query)
         outcomes = {
+            "naive": reference,
             "kmp": kmp_search(query),
             "bmh": bmh_search(query),
             "fbas": fbas_search(query, table),
@@ -175,41 +169,29 @@ def run_benchmark(
                     pattern=pat,
                     first_difference=where,
                 )
-        label = pat.decode("utf-8", "backslashreplace")
-        counts = (
-            reference.comparisons,
-            outcomes["kmp"].comparisons,
-            outcomes["bmh"].comparisons,
-            outcomes["fbas"].comparisons,
-        )
+        counts = {algo: outcomes[algo].comparisons for algo in ALGORITHMS}
         rows.append(
             BenchRow(
-                label=label,
+                label=pat.decode("utf-8", "backslashreplace"),
                 pattern=pat,
-                length=len(pat),
-                naive=counts[0],
-                kmp=counts[1],
-                bmh=counts[2],
-                fbas=counts[3],
+                counts=counts,
                 occurrences=len(reference.positions),
                 anchor=select_anchor(pat, table),
-                stats=derive_stats(*counts),
+                stats=derive_stats(**counts),
                 duplicate=pat in seen,
             )
         )
         seen.add(pat)
 
     totals = BenchTotals(
-        naive=sum(r.naive for r in rows),
-        kmp=sum(r.kmp for r in rows),
-        bmh=sum(r.bmh for r in rows),
-        fbas=sum(r.fbas for r in rows),
-        stats=aggregate_stats([(r.naive, r.kmp, r.bmh, r.fbas) for r in rows]),
+        counts={algo: sum(r.counts[algo] for r in rows) for algo in ALGORITHMS},
+        stats=aggregate_stats([tuple(r.counts.values()) for r in rows]),
     )
     return BenchReport(
         rows=tuple(rows),
         totals=totals,
-        corpus_meta=CorpusMeta(corpus.source_name, corpus.length),
+        source_name=corpus.source_name,
+        corpus_length=corpus.length,
         mode=mode,
     )
 
@@ -226,29 +208,22 @@ def _opt(value: float | None) -> str:
     return "" if value is None else repr(value)
 
 
+def _caption(report: BenchReport) -> str:
+    return (
+        f"corpus: {report.source_name} ({report.corpus_length:,} bytes),"
+        f" mode: {report.mode.value}"
+    )
+
+
 def _table_cells(report: BenchReport) -> list[list[str]]:
-    rows = []
-    for r in report.rows:
-        rows.append([
-            r.label,
-            str(r.length),
-            f"{r.naive:,}",
-            f"{r.kmp:,}",
-            f"{r.bmh:,}",
-            f"{r.fbas:,}",
-            present(r.stats.improvement_pct, 2, "%"),
-        ])
-    t = report.totals
-    rows.append([
-        "Total",
-        "--",
-        f"{t.naive:,}",
-        f"{t.kmp:,}",
-        f"{t.bmh:,}",
-        f"{t.fbas:,}",
-        present(t.stats.improvement_pct, 2, "%"),
-    ])
-    return rows
+    """One cell list per pattern row, then the Total row, built alike."""
+    rows = [(r.label, str(r.length), r.counts, r.stats) for r in report.rows]
+    rows.append(("Total", "--", report.totals.counts, report.totals.stats))
+    return [
+        [label, length, *(f"{c:,}" for c in counts.values()),
+         present(stats.improvement_pct, 2, "%")]
+        for label, length, counts, stats in rows
+    ]
 
 
 def _render_text(report: BenchReport) -> str:
@@ -263,12 +238,7 @@ def _render_text(report: BenchReport) -> str:
         return "  ".join([first, *rest]).rstrip()
 
     sep = "-" * (sum(widths) + 2 * (len(widths) - 1))
-    lines = [
-        f"corpus: {report.corpus_meta.source_name}"
-        f" ({report.corpus_meta.length:,} bytes), mode: {report.mode.value}",
-        fmt(list(_TABLE_COLUMNS)),
-        sep,
-    ]
+    lines = [_caption(report), fmt(list(_TABLE_COLUMNS)), sep]
     lines.extend(fmt(row) for row in cells[:-1])
     lines.append(sep)
     lines.append(fmt(cells[-1]))
@@ -276,15 +246,12 @@ def _render_text(report: BenchReport) -> str:
 
 
 def _render_markdown(report: BenchReport) -> str:
-    lines = [
-        f"corpus: {report.corpus_meta.source_name}"
-        f" ({report.corpus_meta.length:,} bytes), mode: {report.mode.value}",
-        "",
-        "| " + " | ".join(_TABLE_COLUMNS) + " |",
-        "| " + " | ".join(["---"] * len(_TABLE_COLUMNS)) + " |",
-    ]
-    for row in _table_cells(report):
-        lines.append("| " + " | ".join(row) + " |")
+    def fmt(row):
+        # An unescaped '|' inside a cell would split it into two columns.
+        return "| " + " | ".join(cell.replace("|", "\\|") for cell in row) + " |"
+
+    lines = [_caption(report), "", fmt(_TABLE_COLUMNS), fmt(["---"] * len(_TABLE_COLUMNS))]
+    lines.extend(fmt(row) for row in _table_cells(report))
     return "\n".join(lines) + "\n"
 
 
@@ -296,10 +263,7 @@ def _render_csv(report: BenchReport) -> str:
         writer.writerow([
             r.label,
             r.length,
-            r.naive,
-            r.kmp,
-            r.bmh,
-            r.fbas,
+            *r.counts.values(),
             _opt(r.stats.improvement_pct),
             _opt(r.stats.speedup_vs_naive),
             r.anchor.index,
@@ -308,7 +272,7 @@ def _render_csv(report: BenchReport) -> str:
         ])
     t = report.totals
     writer.writerow([
-        "TOTAL", "", t.naive, t.kmp, t.bmh, t.fbas,
+        "TOTAL", "", *t.counts.values(),
         _opt(t.stats.improvement_pct), _opt(t.stats.speedup_vs_naive), "", "", "",
     ])
     return out.getvalue()
@@ -323,21 +287,14 @@ def _stats_dict(stats: DerivedStats) -> dict:
 
 
 def _render_json(report: BenchReport) -> str:
-    t = report.totals
     doc = {
-        "corpus_meta": {
-            "source_name": report.corpus_meta.source_name,
-            "length": report.corpus_meta.length,
-        },
+        "corpus_meta": {"source_name": report.source_name, "length": report.corpus_length},
         "mode": report.mode.value,
         "rows": [
             {
                 "pattern": r.label,
                 "length": r.length,
-                "naive": r.naive,
-                "kmp": r.kmp,
-                "bmh": r.bmh,
-                "fbas": r.fbas,
+                **r.counts,
                 "occurrences": r.occurrences,
                 "duplicate": r.duplicate,
                 "anchor": {
@@ -349,33 +306,29 @@ def _render_json(report: BenchReport) -> str:
             }
             for r in report.rows
         ],
-        "totals": {
-            "naive": t.naive,
-            "kmp": t.kmp,
-            "bmh": t.bmh,
-            "fbas": t.fbas,
-            **_stats_dict(t.stats),
-        },
+        "totals": {**report.totals.counts, **_stats_dict(report.totals.stats)},
         # Per-pattern series for external plotting of improvements and speedups.
         "series": {
             "patterns": [r.label for r in report.rows],
             "improvement_pct": [r.stats.improvement_pct for r in report.rows],
             "speedup_fbas_vs_naive": [r.stats.speedup_vs_naive for r in report.rows],
             "speedup_bmh_vs_naive": [
-                r.naive / r.bmh if r.bmh > 0 else None for r in report.rows
+                r.counts["naive"] / r.counts["bmh"] if r.counts["bmh"] > 0 else None
+                for r in report.rows
             ],
         },
     }
     return json.dumps(doc, indent=2) + "\n"
 
 
+_RENDERERS = {
+    ReportFormat.TEXT: _render_text,
+    ReportFormat.MARKDOWN: _render_markdown,
+    ReportFormat.CSV: _render_csv,
+    ReportFormat.JSON: _render_json,
+}
+
+
 def render_report(report: BenchReport, format: ReportFormat | str = ReportFormat.TEXT) -> str:
     """Render a benchmark report in the requested format."""
-    fmt = ReportFormat(format) if isinstance(format, str) else format
-    if fmt is ReportFormat.TEXT:
-        return _render_text(report)
-    if fmt is ReportFormat.MARKDOWN:
-        return _render_markdown(report)
-    if fmt is ReportFormat.CSV:
-        return _render_csv(report)
-    return _render_json(report)
+    return _RENDERERS[ReportFormat(format)](report)

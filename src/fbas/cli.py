@@ -62,6 +62,8 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    if args.corpus == "-" and args.patterns == "-":
+        raise ValueError("the corpus and the patterns cannot both come from stdin")
     corpus = load_corpus(args.corpus, lowercase=args.lowercase)
     patterns = load_patterns(args.patterns)
     table = _resolve_table(args)

@@ -173,7 +173,10 @@ def load_table(source, name: str | None = None) -> FrequencyTable:
     """
     data, src_name = read_source(source, "frequency table")
     label = name or Path(src_name).name
-    text = data.decode("utf-8")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"frequency table {src_name} is not UTF-8: {exc}") from exc
 
     entries: dict[int, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -191,7 +194,10 @@ def load_table(source, name: str | None = None) -> FrequencyTable:
             raise ValueError(
                 f"line {lineno}: {key!r} is not an ASCII character; write a byte as \\xNN"
             )
-        score = int(score_text.strip())
+        try:
+            score = int(score_text.strip())
+        except ValueError:
+            raise ValueError(f"line {lineno}: score {score_text!r} is not an integer") from None
         if not MIN_SCORE <= score <= MAX_SCORE:
             raise ValueError(f"line {lineno}: score {score} out of range 1..50")
         entries[code] = score

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_UP
+from math import fsum
 from typing import Sequence
 
 
@@ -50,7 +51,9 @@ def aggregate_stats(counts: Sequence[tuple[int, int, int, int]]) -> DerivedStats
     Improvement comes from the summed totals; speedup and reduction are
     the means of the per-row values, matching how a totals row is
     conventionally reported. Rows whose own value is undefined are left
-    out of the mean; with no defined rows the field is None.
+    out of the mean; with no defined rows the field is None. Means use
+    ``math.fsum``, so they are correctly rounded and the same on every
+    Python version (``sum`` of floats changed its rounding in 3.12).
     """
     if not counts:
         return DerivedStats(None, None, None)
@@ -62,8 +65,8 @@ def aggregate_stats(counts: Sequence[tuple[int, int, int, int]]) -> DerivedStats
     reductions = [100.0 * (c[0] - c[3]) / c[0] for c in counts if c[0] > 0]
     return DerivedStats(
         improvement_pct=improvement,
-        speedup_vs_naive=sum(speedups) / len(speedups) if speedups else None,
-        reduction_vs_naive_pct=sum(reductions) / len(reductions) if reductions else None,
+        speedup_vs_naive=fsum(speedups) / len(speedups) if speedups else None,
+        reduction_vs_naive_pct=fsum(reductions) / len(reductions) if reductions else None,
     )
 
 

@@ -1,6 +1,7 @@
 """Corpus loading, benchmark runs, and report rendering."""
 import io
 import json
+import re
 
 import pytest
 
@@ -15,6 +16,7 @@ from fbas import (
     MatcherDisagreement,
     Mode,
     PatternSet,
+    ALGORITHMS,
     ReportFormat,
     SearchOutcome,
     SearchQuery,
@@ -26,7 +28,7 @@ from fbas import (
     run_benchmark,
     select_anchor,
 )
-from fbas.bench import CSV_HEADER, BenchRow, CorpusMeta
+from fbas.bench import CSV_HEADER, BenchRow
 from fbas.metrics import DerivedStats, aggregate_stats
 from helpers import KNOWN_BENCHMARK_ROWS
 
@@ -34,23 +36,22 @@ from helpers import KNOWN_BENCHMARK_ROWS
 def report_from_counts(rows, corpus_name="reference", corpus_length=551846):
     built = []
     seen = set()
-    for label, length, naive, kmp, bmh, fbas in rows:
+    for label, length, *row_counts in rows:
         pattern = label.encode()
+        assert len(pattern) == length
         built.append(BenchRow(
-            label=label, pattern=pattern, length=length,
-            naive=naive, kmp=kmp, bmh=bmh, fbas=fbas,
+            label=label, pattern=pattern, counts=dict(zip(ALGORITHMS, row_counts)),
             occurrences=0, anchor=select_anchor(pattern),
-            stats=derive_stats(naive, kmp, bmh, fbas),
+            stats=derive_stats(*row_counts),
             duplicate=pattern in seen,
         ))
         seen.add(pattern)
-    counts = [(r.naive, r.kmp, r.bmh, r.fbas) for r in built]
+    counts = [tuple(r.counts.values()) for r in built]
     totals = BenchTotals(
-        naive=sum(c[0] for c in counts), kmp=sum(c[1] for c in counts),
-        bmh=sum(c[2] for c in counts), fbas=sum(c[3] for c in counts),
+        counts={algo: sum(r.counts[algo] for r in built) for algo in ALGORITHMS},
         stats=aggregate_stats(counts),
     )
-    return BenchReport(tuple(built), totals, CorpusMeta(corpus_name, corpus_length), Mode.ALL_MATCHES)
+    return BenchReport(tuple(built), totals, corpus_name, corpus_length, Mode.ALL_MATCHES)
 
 
 class TestLoadCorpus:
@@ -108,9 +109,11 @@ class TestRunBenchmark:
     def test_tiny_corpus_row(self):
         report = run_benchmark(Corpus(b"aaaa", "tiny"), PatternSet((b"aa",)))
         row = report.rows[0]
-        assert row.naive == 6
+        assert row.counts["naive"] == 6
+        assert row.length == 2
         assert row.occurrences == 3
-        assert report.totals.naive == 6
+        assert report.totals.counts["naive"] == 6
+        assert (report.source_name, report.corpus_length) == ("tiny", 4)
 
     def test_absent_anchor_means_unit_cost_per_window(self):
         # anchor byte 'z' never occurs, so every window costs one comparison
@@ -124,15 +127,18 @@ class TestRunBenchmark:
 
     def test_totals_are_row_sums(self, fixture_corpus, fixture_patterns):
         report = run_benchmark(fixture_corpus, fixture_patterns)
-        for algo in ("naive", "kmp", "bmh", "fbas"):
-            assert getattr(report.totals, algo) == sum(getattr(r, algo) for r in report.rows)
+        assert list(report.totals.counts) == list(ALGORITHMS)
+        for algo in ALGORITHMS:
+            assert report.totals.counts[algo] == sum(r.counts[algo] for r in report.rows)
 
     def test_row_stats_satisfy_formulas(self, fixture_corpus, fixture_patterns):
         report = run_benchmark(fixture_corpus, fixture_patterns)
         for r in report.rows:
-            assert r.stats.improvement_pct == pytest.approx(100 * (r.bmh - r.fbas) / r.bmh)
-            assert r.stats.speedup_vs_naive == pytest.approx(r.naive / r.fbas)
-            assert r.stats.reduction_vs_naive_pct == pytest.approx(100 * (r.naive - r.fbas) / r.naive)
+            assert list(r.counts) == list(ALGORITHMS)
+            naive, bmh, fbas = r.counts["naive"], r.counts["bmh"], r.counts["fbas"]
+            assert r.stats.improvement_pct == pytest.approx(100 * (bmh - fbas) / bmh)
+            assert r.stats.speedup_vs_naive == pytest.approx(naive / fbas)
+            assert r.stats.reduction_vs_naive_pct == pytest.approx(100 * (naive - fbas) / naive)
 
     def test_duplicates_flagged(self):
         report = run_benchmark(Corpus(b"abcabc", "tiny"), PatternSet((b"abc", b"abc")))
@@ -142,8 +148,8 @@ class TestRunBenchmark:
         all_mode = run_benchmark(fixture_corpus, fixture_patterns, mode=Mode.ALL_MATCHES)
         first_mode = run_benchmark(fixture_corpus, fixture_patterns, mode=Mode.FIRST_MATCH)
         for row_all, row_first in zip(all_mode.rows, first_mode.rows):
-            for algo in ("naive", "kmp", "bmh", "fbas"):
-                assert getattr(row_first, algo) <= getattr(row_all, algo)
+            for algo in ALGORITHMS:
+                assert row_first.counts[algo] <= row_all.counts[algo]
 
     def test_disagreement_detected(self, monkeypatch):
         def broken_kmp(query, record_windows=False):
@@ -179,6 +185,16 @@ class TestRenderReport:
         assert "7.12%" in beatrice_line
         assert "| 5.33% |" in out.splitlines()[-1]
 
+    def test_markdown_rows_keep_seven_cells(self):
+        report = run_benchmark(Corpus(b"xa|b||luce", "a|b.txt"), PatternSet((b"a|b", b"|", b"luce")))
+        lines = render_report(report, ReportFormat.MARKDOWN).splitlines()
+        assert lines[0].startswith("corpus: a|b.txt ")
+        rows = lines[2:]
+        assert len(rows) == 2 + 3 + 1
+        for line in rows:
+            assert len(re.split(r"(?<!\\)\|", line)) == 7 + 2, line
+        assert rows[2].startswith("| a\\|b | 3 |")
+
     def test_text_layout_columns(self):
         report = report_from_counts([r[:6] for r in KNOWN_BENCHMARK_ROWS])
         out = render_report(report, ReportFormat.TEXT)
@@ -205,8 +221,9 @@ class TestRenderReport:
     def test_json_empty_rows_document(self):
         report = BenchReport(
             rows=(),
-            totals=BenchTotals(0, 0, 0, 0, DerivedStats(None, None, None)),
-            corpus_meta=CorpusMeta("none", 0),
+            totals=BenchTotals(dict.fromkeys(ALGORITHMS, 0), DerivedStats(None, None, None)),
+            source_name="none",
+            corpus_length=0,
             mode=Mode.ALL_MATCHES,
         )
         doc = json.loads(render_report(report, ReportFormat.JSON))

@@ -186,6 +186,12 @@ class TestBench:
         code, _, err = run_cli(["bench", str(empty), PATTERNS])
         assert code == 2
 
+    def test_corpus_and_patterns_both_from_stdin_exit_two(self):
+        code, out, err = run_cli(["bench", "-", "-"], stdin=b"luce\n")
+        assert code == 2
+        assert out == ""
+        assert "cannot both come from stdin" in err
+
     def test_unknown_format_is_usage_error(self):
         code, _, _ = run_cli(["bench", CORPUS, PATTERNS, "--format", "xml"])
         assert code == 2

@@ -170,7 +170,7 @@ class TestTableFiles:
         assert table.score("z") == 1
         assert table.score("e") == 29
 
-    def test_malformed_line_rejected(self):
+    def test_malformed_line_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             load_table(io.StringIO("zz\t3\n"))
         with pytest.raises(ValueError):
@@ -178,6 +178,13 @@ class TestTableFiles:
         for bad_escape in ("\\xg1", "\\x1", "\\x123"):
             with pytest.raises(ValueError):
                 load_table(io.StringIO(f"{bad_escape}\t1\n"))
+        for score in ("abc", ""):
+            with pytest.raises(ValueError, match=f"^line 2: score '{score}' is not an integer$"):
+                load_table(io.StringIO(f"z\t1\nx\t{score}\n"))
+        latin1 = tmp_path / "latin1.tsv"
+        latin1.write_bytes(b"\xe0\t3\n")
+        with pytest.raises(ValueError, match="latin1.tsv is not UTF-8"):
+            load_table(latin1)
 
     def test_out_of_range_score_rejected(self):
         with pytest.raises(ValueError):

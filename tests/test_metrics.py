@@ -72,6 +72,27 @@ class TestAggregateStats:
         stats = aggregate_stats([(100, 90, 50, 40), (0, 0, 0, 0)])
         assert stats.speedup_vs_naive == pytest.approx(2.5)
 
+    def test_means_identical_on_every_python(self):
+        # Per-pattern (naive, kmp, bmh, fbas) counts of patterns12 over
+        # italian_sample.txt. Plain sum() gives 6.029151939402599 and
+        # 81.686432213739 before Python 3.12; the exact values are pinned.
+        all_matches = [
+            (13319, 13192, 2308, 2116), (12659, 12584, 2027, 2027),
+            (12633, 12582, 1782, 1700), (12337, 12325, 2139, 1951),
+            (12660, 12587, 3114, 2969), (12486, 12433, 2185, 2059),
+            (12825, 12736, 1750, 1581), (13091, 12972, 1843, 1692),
+            (12864, 12780, 1778, 1619), (13451, 13412, 3614, 3547),
+            (12975, 12942, 3617, 3454), (12635, 12588, 3023, 2882),
+        ]
+        first_match = [
+            (1593, 1575, 278, 251), (1784, 1771, 300, 303), (1658, 1652, 236, 223),
+            (3028, 3024, 536, 489), (2039, 2025, 499, 487), (5295, 5271, 918, 885),
+            (5443, 5413, 761, 682), (323, 322, 52, 51), (895, 876, 118, 119),
+            (5174, 5164, 1376, 1354), (1190, 1189, 336, 312), (6174, 6157, 1462, 1409),
+        ]
+        assert repr(aggregate_stats(all_matches).speedup_vs_naive) == "6.0291519394026"
+        assert repr(aggregate_stats(first_match).reduction_vs_naive_pct) == "81.68643221373898"
+
 
 class TestRounding:
     @pytest.mark.parametrize(
