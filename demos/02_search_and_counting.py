@@ -21,7 +21,10 @@ for name, matcher in (("naive", naive_search), ("kmp", kmp_search),
 
 # 2. Why fbas is cheaper: most windows die on the single anchor test.
 outcome = fbas_search(query, record_windows=True)
-print(f"\nfbas examined {outcome.alignments} windows; "
+anchor = outcome.anchor
+print(f"\nfbas tests {chr(anchor.character)!r} (pattern index {anchor.index}, "
+      f"score {anchor.score}) first in every window")
+print(f"fbas examined {outcome.alignments} windows; "
       f"anchor matched in {outcome.anchor_hits} of them")
 print("first ten windows (position, cost, anchor hit):")
 for pos, cost, hit in outcome.windows[:10]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from ._bytes import as_bytes, display_byte, read_source
 from .errors import EmptyCorpus, EmptyPattern, MatcherDisagreement
-from .freq import AnchorSelection, FrequencyTable, default_table, select_anchor
+from .freq import AnchorSelection, FrequencyTable
 from .match import ALGORITHMS, Mode, SearchQuery, bmh_search, fbas_search, kmp_search, naive_search
 from .metrics import DerivedStats, aggregate_stats, derive_stats, present
 
@@ -146,8 +146,6 @@ def run_benchmark(
         raise EmptyCorpus("cannot benchmark an empty corpus")
     if len(patterns) == 0:
         raise EmptyPattern("cannot benchmark an empty pattern set")
-    if table is None:
-        table = default_table()
 
     rows: list[BenchRow] = []
     seen: set[bytes] = set()
@@ -176,7 +174,7 @@ def run_benchmark(
                 pattern=pat,
                 counts=counts,
                 occurrences=len(reference.positions),
-                anchor=select_anchor(pat, table),
+                anchor=outcomes["fbas"].anchor,
                 stats=derive_stats(**counts),
                 duplicate=pat in seen,
             )

@@ -19,9 +19,7 @@ from .match import ALGORITHMS, Mode, SearchQuery, search
 
 
 def _resolve_table(args):
-    if getattr(args, "freq_table", None):
-        return load_table(args.freq_table)
-    return default_table()
+    return load_table(args.freq_table) if args.freq_table else None
 
 
 def _cmd_search(args) -> int:
@@ -37,16 +35,15 @@ def _cmd_search(args) -> int:
     if args.stats:
         print(f"comparisons: {outcome.comparisons}")
         print(f"alignments: {outcome.alignments}")
-        if args.algo == "fbas":
+        sel = outcome.anchor
+        if sel is not None:
             print(f"anchor hits: {outcome.anchor_hits}")
-            sel = select_anchor(query.pattern, table)
             print(f"anchor: '{display_byte(sel.character)}' @ {sel.index} (score {sel.score})")
     return 0 if outcome.found else 1
 
 
 def _cmd_anchor(args) -> int:
-    table = _resolve_table(args)
-    sel = select_anchor(args.pattern, table)
+    sel = select_anchor(args.pattern, _resolve_table(args))
     print(f"index={sel.index} char={display_byte(sel.character)} score={sel.score}")
     return 0
 
@@ -66,9 +63,8 @@ def _cmd_bench(args) -> int:
         raise ValueError("the corpus and the patterns cannot both come from stdin")
     corpus = load_corpus(args.corpus, lowercase=args.lowercase)
     patterns = load_patterns(args.patterns)
-    table = _resolve_table(args)
     mode = Mode.FIRST_MATCH if args.first_match else Mode.ALL_MATCHES
-    report = run_benchmark(corpus, patterns, table, mode)
+    report = run_benchmark(corpus, patterns, _resolve_table(args), mode)
     sys.stdout.write(render_report(report, ReportFormat(args.format)))
     return 0
 
@@ -81,7 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("search", help="print byte offsets of pattern matches in a file")
-    p.add_argument("pattern", help="pattern to search for (verbatim, case-sensitive)")
+    p.add_argument("pattern", type=os.fsencode,
+                   help="pattern to search for (verbatim, case-sensitive)")
     p.add_argument("input", nargs="?", default="-", help="input file, or '-' for stdin")
     p.add_argument("--algo", choices=ALGORITHMS, default="fbas", help="matcher to use")
     p.add_argument("--all", action="store_true", help="report all matches, not just the first")
@@ -92,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("anchor", help="show the anchor position chosen for a pattern")
-    p.add_argument("pattern")
+    p.add_argument("pattern", type=os.fsencode)
     p.add_argument("--freq-table", metavar="PATH", help="custom frequency table file")
     p.set_defaults(func=_cmd_anchor)
 

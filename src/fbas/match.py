@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from ._bytes import as_bytes, byte_value
 from .errors import EmptyCorpus, EmptyPattern, InvalidProbability
-from .freq import FrequencyTable, select_anchor
+from .freq import AnchorSelection, FrequencyTable, select_anchor
 
 
 class Mode(enum.Enum):
@@ -55,17 +54,20 @@ class SearchQuery:
 class SearchOutcome:
     """Match positions plus instrumentation for one search.
 
-    ``alignments`` counts window positions examined; ``anchor_hits`` is
-    non-zero only for the fbas matcher. When a Horspool matcher was
-    asked to record windows, ``windows`` holds one
-    ``(position, cost, anchor_hit)`` tuple per examined alignment, in
-    order; the costs sum to ``comparisons``.
+    ``alignments`` counts window positions examined. ``anchor`` is the
+    position the fbas matcher verified first in every window, and
+    ``anchor_hits`` counts the windows where it matched; the other three
+    matchers leave them None and 0. When a Horspool matcher was asked to
+    record windows, ``windows`` holds one ``(position, cost, anchor_hit)``
+    tuple per examined alignment, in order; the costs sum to
+    ``comparisons``.
     """
 
     positions: list[int] = field(default_factory=list)
     comparisons: int = 0
     alignments: int = 0
     anchor_hits: int = 0
+    anchor: AnchorSelection | None = None
     windows: list[tuple[int, int, bool]] | None = None
 
     @property
@@ -169,23 +171,28 @@ def kmp_search(query: SearchQuery) -> SearchOutcome:
 
 
 def _horspool_walk(
-    query: SearchQuery, order: Sequence[int], anchored: bool, record_windows: bool
+    query: SearchQuery, anchor: AnchorSelection | None, record_windows: bool
 ) -> SearchOutcome:
-    """Visit Horspool's windows, verifying each in the given order.
+    """Visit Horspool's windows, verifying each in an order set by ``anchor``.
 
-    ``order`` lists the m pattern positions in the order they are
-    tested; testing stops at the first mismatch. The shift after every
-    window comes from the last window byte, so the window sequence
-    depends on the text and pattern only, never on ``order``. When
-    ``anchored``, a window whose first tested byte matches counts as an
-    anchor hit.
+    With no anchor, positions are tested right to left (bmh). With one,
+    the anchor is tested first and the other positions left to right;
+    a window whose anchor matches counts as an anchor hit. Testing stops
+    at the first mismatch. The shift after every window comes from the
+    last window byte, so the window sequence depends on the text and
+    pattern only, never on the anchor.
     """
     text, pat = query.text, query.pattern
     m = len(pat)
     limit = len(text) - m
     first_only = query.mode is Mode.FIRST_MATCH
     shifts = build_shift_table(pat)
-    first, rest = order[0], order[1:]
+    anchored = anchor is not None
+    if anchored:
+        first = anchor.index
+        rest = [i for i in range(m) if i != first]
+    else:
+        first, rest = m - 1, range(m - 2, -1, -1)
     first_byte = pat[first]
     last = m - 1
     positions: list[int] = []
@@ -217,6 +224,7 @@ def _horspool_walk(
         comparisons=alignments + extra,
         alignments=alignments,
         anchor_hits=hits if anchored else 0,
+        anchor=anchor,
         windows=windows,
     )
 
@@ -224,8 +232,7 @@ def _horspool_walk(
 def bmh_search(query: SearchQuery, record_windows: bool = False) -> SearchOutcome:
     """Boyer-Moore-Horspool: verify right to left, shift by the
     bad-character rule on the last window byte."""
-    m = len(query.pattern)
-    return _horspool_walk(query, range(m - 1, -1, -1), anchored=False, record_windows=record_windows)
+    return _horspool_walk(query, None, record_windows)
 
 
 def fbas_search(
@@ -240,11 +247,11 @@ def fbas_search(
     skipping the anchor and stopping at the first mismatch, so a full
     match costs exactly m comparisons and an anchor miss exactly one.
     Shifts use the same bad-character rule as bmh_search, on the last
-    window byte, whether or not the window matched.
+    window byte, whether or not the window matched. The anchor, chosen
+    once by ``select_anchor(pattern, table)``, is returned as
+    ``outcome.anchor``.
     """
-    a = select_anchor(query.pattern, table).index
-    order = [a, *(i for i in range(len(query.pattern)) if i != a)]
-    return _horspool_walk(query, order, anchored=True, record_windows=record_windows)
+    return _horspool_walk(query, select_anchor(query.pattern, table), record_windows)
 
 
 ALGORITHMS = ("naive", "kmp", "bmh", "fbas")

@@ -57,31 +57,24 @@ def aggregate_stats(counts: Sequence[tuple[int, int, int, int]]) -> DerivedStats
     """
     if not counts:
         return DerivedStats(None, None, None)
-    total_bmh = sum(c[2] for c in counts)
-    total_fbas = sum(c[3] for c in counts)
-    improvement = 100.0 * (total_bmh - total_fbas) / total_bmh if total_bmh > 0 else None
-
-    speedups = [c[0] / c[3] for c in counts if c[3] > 0]
-    reductions = [100.0 * (c[0] - c[3]) / c[0] for c in counts if c[0] > 0]
+    rows = [derive_stats(*c) for c in counts]
     return DerivedStats(
-        improvement_pct=improvement,
-        speedup_vs_naive=fsum(speedups) / len(speedups) if speedups else None,
-        reduction_vs_naive_pct=fsum(reductions) / len(reductions) if reductions else None,
+        improvement_pct=derive_stats(*map(sum, zip(*counts))).improvement_pct,
+        speedup_vs_naive=_mean([r.speedup_vs_naive for r in rows]),
+        reduction_vs_naive_pct=_mean([r.reduction_vs_naive_pct for r in rows]),
     )
 
 
-def _quantize(value: float, ndigits: int) -> Decimal:
-    # Decimal of the shortest repr, so 0.575 rounds as written, not as stored.
-    return Decimal(repr(value)).quantize(Decimal(1).scaleb(-ndigits), rounding=ROUND_HALF_UP)
-
-
-def round_half_away(value: float, ndigits: int = 2) -> float:
-    """Round with ties going away from zero (display convention)."""
-    return float(_quantize(value, ndigits))
+def _mean(values: list[float | None]) -> float | None:
+    defined = [v for v in values if v is not None]
+    return fsum(defined) / len(defined) if defined else None
 
 
 def present(value: float | None, ndigits: int = 2, suffix: str = "") -> str:
-    """Format a stat for reports: fixed decimals, 'n/a' when undefined."""
+    """Format a stat for reports: fixed decimals with ties rounded away
+    from zero, 'n/a' when undefined."""
     if value is None:
         return "n/a"
-    return f"{_quantize(value, ndigits)}{suffix}"
+    # Decimal of the shortest repr, so 0.575 rounds as written, not as stored.
+    quantized = Decimal(repr(value)).quantize(Decimal(1).scaleb(-ndigits), rounding=ROUND_HALF_UP)
+    return f"{quantized}{suffix}"

@@ -30,7 +30,7 @@ from fbas import (
     run_benchmark,
     select_anchor,
 )
-from fbas.metrics import round_half_away
+from fbas.metrics import present
 from helpers import KNOWN_BENCHMARK_ROWS, KNOWN_TOTALS, oracle_positions, run_cli
 
 SEED = 20260808
@@ -224,7 +224,7 @@ def test_criterion_09_derived_stat_spot_checks():
     counts = [(n, k, b, f) for (_, _, n, k, b, f, _) in KNOWN_BENCHMARK_ROWS]
     assert tuple(sum(c[i] for c in counts) for i in range(4)) == KNOWN_TOTALS
     for (_, _, n, k, b, f, expected_impr) in KNOWN_BENCHMARK_ROWS:
-        assert round_half_away(derive_stats(n, k, b, f).improvement_pct) == expected_impr
+        assert present(derive_stats(n, k, b, f).improvement_pct) == f"{expected_impr:.2f}"
 
     totals = aggregate_stats(counts)
     assert abs(totals.improvement_pct - 5.33) <= 0.005

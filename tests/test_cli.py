@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 from conftest import DATA_DIR
+from fbas import Mode, SearchQuery, fbas_search, load_table
 from helpers import run_cli
 
 CORPUS = str(DATA_DIR / "italian_sample.txt")
@@ -40,6 +41,35 @@ class TestSearch:
         assert "anchor: 'u' @ 3 (score 16)" in out
         assert any(line.startswith("comparisons: ") for line in out.splitlines())
         assert any(line.startswith("alignments: ") for line in out.splitlines())
+
+    def test_stats_report_the_anchor_of_the_given_table(self, tmp_path):
+        table = tmp_path / "o-rarest.tsv"
+        table.write_text("o\t1\n")
+        code, out, _ = run_cli(
+            ["search", "oscura", CORPUS, "--stats", "--all", "--freq-table", str(table)]
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert "anchor: 'o' @ 0 (score 1)" in lines
+        text = (DATA_DIR / "italian_sample.txt").read_bytes()
+        query = SearchQuery(text, "oscura", Mode.ALL_MATCHES)
+        hits = fbas_search(query, load_table(table)).anchor_hits
+        assert f"anchor hits: {hits}" in lines
+
+    def test_bmh_stats_have_no_anchor_lines(self):
+        code, out, _ = run_cli(["search", "oscura", CORPUS, "--algo", "bmh", "--stats", "--all"])
+        assert code == 0
+        assert not any(line.startswith("anchor") for line in out.splitlines())
+
+    def test_non_utf8_pattern_byte(self):
+        # argv decodes undecodable bytes to lone surrogates; the pattern is
+        # the original byte 0xE0 again, found after the Latin-1 "caffè ".
+        code, out, err = run_cli(["search", "\udce0", "-", "--all"], stdin=b"caff\xe8 \xe0")
+        assert (code, out, err) == (0, "6\n", "")
+
+    def test_utf8_pattern_is_its_utf8_bytes(self):
+        code, out, _ = run_cli(["search", "città", "-", "--all"], stdin="la città".encode())
+        assert (code, out) == (0, "3\n")
 
     def test_same_offsets_for_every_algorithm(self):
         results = set()
@@ -105,6 +135,12 @@ class TestAnchor:
     def test_empty_pattern_exits_two(self):
         code, _, err = run_cli(["anchor", ""])
         assert code == 2
+
+    def test_non_utf8_pattern_byte(self):
+        code, out, _ = run_cli(["anchor", "z\udce0"])
+        assert (code, out) == (0, "index=0 char=z score=1\n")
+        code, out, _ = run_cli(["anchor", "\udce0"])
+        assert (code, out) == (0, "index=0 char=\\xe0 score=50\n")
 
     def test_unreadable_freq_table_exits_two(self, tmp_path):
         for path in (tmp_path / "missing.tsv", tmp_path):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from fbas import (
     EmptyCorpus,
     EmptyPattern,
+    FrequencyTable,
     InvalidProbability,
     Mode,
     SearchQuery,
@@ -18,6 +19,7 @@ from fbas import (
     kmp_search,
     naive_search,
     search,
+    select_anchor,
 )
 from helpers import oracle_positions
 
@@ -36,6 +38,12 @@ def search_cases(draw):
     else:
         pattern = draw(st.text(alphabet=sigma, min_size=1, max_size=8)).encode()
     return text, pattern
+
+
+# Tables that rank the letters of search_cases in arbitrary order.
+custom_tables = st.builds(
+    FrequencyTable, st.dictionaries(st.integers(ord("a"), ord("z")), st.integers(1, 50))
+)
 
 
 class TestShiftTable:
@@ -271,6 +279,34 @@ class TestWindowTrace:
         query = SearchQuery("la selva oscura", "selva")
         for matcher in (naive_search, kmp_search, bmh_search, fbas_search):
             assert matcher(query).windows is None
+
+
+class TestReportedAnchor:
+    @given(search_cases(), custom_tables)
+    def test_fbas_reports_the_anchor_it_selects(self, case, custom):
+        text, pattern = case
+        for table in (None, default_table(), custom):
+            for mode in (ALL, FIRST):
+                outcome = fbas_search(SearchQuery(text, pattern, mode), table)
+                assert outcome.anchor == select_anchor(pattern, table)
+
+    @given(search_cases(), custom_tables)
+    def test_every_window_tests_the_reported_anchor_first(self, case, custom):
+        text, pattern = case
+        for table in (None, custom):
+            outcome = fbas_search(SearchQuery(text, pattern), table, record_windows=True)
+            a = outcome.anchor.index
+            for pos, cost, hit in outcome.windows:
+                assert hit == (text[pos + a] == pattern[a])
+                if not hit:
+                    assert cost == 1
+
+    @given(search_cases())
+    def test_other_matchers_report_no_anchor(self, case):
+        query = SearchQuery(*case)
+        for matcher in (naive_search, kmp_search, bmh_search):
+            assert matcher(query).anchor is None
+        assert bmh_search(query, record_windows=True).anchor is None
 
 
 class TestSearchDispatch:

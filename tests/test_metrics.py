@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fbas import aggregate_stats, derive_stats
-from fbas.metrics import present, round_half_away
+from fbas.metrics import present
 
 counts = st.integers(min_value=0, max_value=10**7)
 
@@ -101,7 +101,7 @@ class TestRounding:
          (7.1229, 7.12), (2.125, 2.13), (1.0, 1.0)],
     )
     def test_half_away_from_zero(self, value, expected):
-        assert round_half_away(value) == expected
+        assert present(value) == f"{expected:.2f}"
 
     def test_present_formats_two_decimals(self):
         assert present(5.333229, 2, "%") == "5.33%"
