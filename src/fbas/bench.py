@@ -181,9 +181,10 @@ def run_benchmark(
         )
         seen.add(pat)
 
+    total_counts = {algo: sum(r.counts[algo] for r in rows) for algo in ALGORITHMS}
     totals = BenchTotals(
-        counts={algo: sum(r.counts[algo] for r in rows) for algo in ALGORITHMS},
-        stats=aggregate_stats([tuple(r.counts.values()) for r in rows]),
+        counts=total_counts,
+        stats=aggregate_stats([r.stats for r in rows], tuple(total_counts.values())),
     )
     return BenchReport(
         rows=tuple(rows),

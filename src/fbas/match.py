@@ -4,7 +4,10 @@ Four matchers share one interface: naive scan, Knuth-Morris-Pratt,
 Boyer-Moore-Horspool, and the anchor-first Horspool variant (fbas).
 All of them operate on raw bytes, return 0-based byte offsets, and
 count every text-byte vs pattern-byte equality test made during the
-search phase. Preprocessing comparisons are not counted.
+search phase. Preprocessing comparisons are not counted. The naive and
+KMP matchers let ``bytes.find`` skip to the next text byte equal to the
+pattern's first byte and count the skipped windows in bulk, so their
+counts are those of a per-window loop at a fraction of its time.
 
 The fbas matcher keeps Horspool's bad-character shift rule untouched
 and changes only the verification order inside a window: the pattern's
@@ -93,27 +96,40 @@ def build_shift_table(pattern) -> list[int]:
 
 
 def naive_search(query: SearchQuery) -> SearchOutcome:
-    """Check every window left to right; the correctness oracle for the rest."""
+    """Check every window left to right; the correctness oracle for the rest.
+
+    A window costs one comparison per byte of its common prefix with the
+    pattern, plus the mismatching one: ``min(lcp + 1, m)``. Windows whose
+    first byte is not ``pat[0]`` cost exactly one, so ``bytes.find``
+    skips them at C speed (the skip loop of Hume & Sunday, 1991) and they
+    are counted in bulk; only the candidates are verified in Python. The
+    counts are those of a per-window loop.
+    """
     text, pat = query.text, query.pattern
     n, m = len(text), len(pat)
     if n < m:
         return SearchOutcome()
     first_only = query.mode is Mode.FIRST_MATCH
+    head, end = pat[:1], n - m + 1
     positions: list[int] = []
-    comparisons = 0
+    extra = 0  # comparisons beyond the first in candidate windows
 
-    for pos in range(n - m + 1):
-        for i in range(m):
-            comparisons += 1
-            if text[pos + i] != pat[i]:
-                break
-        else:
+    pos = text.find(head, 0, end)
+    while pos >= 0:
+        k = 1
+        while k < m and text[pos + k] == pat[k]:
+            k += 1
+        if k == m:
+            extra += m - 1
             positions.append(pos)
             if first_only:
                 break
+        else:
+            extra += k
+        pos = text.find(head, pos + 1, end)
 
-    # pos is the last window examined
-    return SearchOutcome(positions=positions, comparisons=comparisons, alignments=pos + 1)
+    alignments = positions[0] + 1 if first_only and positions else end
+    return SearchOutcome(positions=positions, comparisons=alignments + extra, alignments=alignments)
 
 
 def _failure_function(pat: bytes) -> list[int]:
@@ -136,7 +152,10 @@ def kmp_search(query: SearchQuery) -> SearchOutcome:
     Only search-phase comparisons are counted; building the failure
     function is preprocessing. An alignment here is a distinct value of
     the implicit window start (text index minus pattern index) at which
-    at least one comparison was made.
+    at least one comparison was made. After a mismatch against ``pat[0]``
+    the scan restarts at the next ``pat[0]`` found by ``bytes.find``;
+    each text byte skipped on the way counts as the one comparison and
+    the one alignment the per-byte loop would have spent on it.
     """
     text, pat = query.text, query.pattern
     n, m = len(text), len(pat)
@@ -144,6 +163,7 @@ def kmp_search(query: SearchQuery) -> SearchOutcome:
         return SearchOutcome()
     first_only = query.mode is Mode.FIRST_MATCH
     fail = _failure_function(pat)
+    head = pat[:1]
     positions: list[int] = []
     comparisons = alignments = 0
     last_start = -1
@@ -165,7 +185,13 @@ def kmp_search(query: SearchQuery) -> SearchOutcome:
         elif j > 0:
             j = fail[j - 1]
         else:
-            i += 1
+            k = text.find(head, i + 1)
+            if k < 0:
+                k = n
+            comparisons += k - i - 1
+            alignments += k - i - 1
+            last_start = k - 1
+            i = k
 
     return SearchOutcome(positions=positions, comparisons=comparisons, alignments=alignments)
 

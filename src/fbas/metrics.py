@@ -45,8 +45,9 @@ def derive_stats(naive: int, kmp: int, bmh: int, fbas: int) -> DerivedStats:
     )
 
 
-def aggregate_stats(counts: Sequence[tuple[int, int, int, int]]) -> DerivedStats:
-    """Aggregate statistics over many (naive, kmp, bmh, fbas) rows.
+def aggregate_stats(rows: Sequence[DerivedStats], totals: Sequence[int]) -> DerivedStats:
+    """Aggregate the stats of many rows, given their summed
+    (naive, kmp, bmh, fbas) counts.
 
     Improvement comes from the summed totals; speedup and reduction are
     the means of the per-row values, matching how a totals row is
@@ -55,11 +56,8 @@ def aggregate_stats(counts: Sequence[tuple[int, int, int, int]]) -> DerivedStats
     ``math.fsum``, so they are correctly rounded and the same on every
     Python version (``sum`` of floats changed its rounding in 3.12).
     """
-    if not counts:
-        return DerivedStats(None, None, None)
-    rows = [derive_stats(*c) for c in counts]
     return DerivedStats(
-        improvement_pct=derive_stats(*map(sum, zip(*counts))).improvement_pct,
+        improvement_pct=derive_stats(*totals).improvement_pct,
         speedup_vs_naive=_mean([r.speedup_vs_naive for r in rows]),
         reduction_vs_naive_pct=_mean([r.reduction_vs_naive_pct for r in rows]),
     )

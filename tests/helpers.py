@@ -1,4 +1,5 @@
-"""Shared test helpers: an independent match oracle and a CLI runner."""
+"""Shared test helpers: an independent match oracle, the per-window
+reference matchers and a CLI runner."""
 from __future__ import annotations
 
 import contextlib
@@ -6,6 +7,7 @@ import io
 import sys
 
 from fbas.cli import main
+from fbas.match import Mode, SearchOutcome, SearchQuery, _failure_function
 
 
 # Reference comparison counts for the classic 12-pattern benchmark over the
@@ -39,6 +41,75 @@ def oracle_positions(text: bytes, pattern: bytes, first_only: bool = False) -> l
             if first_only:
                 break
     return found
+
+
+# The per-window naive and KMP loops that the skip-loop matchers replace.
+# Every window and every text byte is visited in Python, so their counts
+# hold by inspection; the package's matchers must reproduce them exactly.
+
+
+def per_window_naive_search(query: SearchQuery) -> SearchOutcome:
+    """Check every window left to right; the correctness oracle for the rest."""
+    text, pat = query.text, query.pattern
+    n, m = len(text), len(pat)
+    if n < m:
+        return SearchOutcome()
+    first_only = query.mode is Mode.FIRST_MATCH
+    positions: list[int] = []
+    comparisons = 0
+
+    for pos in range(n - m + 1):
+        for i in range(m):
+            comparisons += 1
+            if text[pos + i] != pat[i]:
+                break
+        else:
+            positions.append(pos)
+            if first_only:
+                break
+
+    # pos is the last window examined
+    return SearchOutcome(positions=positions, comparisons=comparisons, alignments=pos + 1)
+
+
+def per_window_kmp_search(query: SearchQuery) -> SearchOutcome:
+    """Knuth-Morris-Pratt with the classic failure function.
+
+    Only search-phase comparisons are counted; building the failure
+    function is preprocessing. An alignment here is a distinct value of
+    the implicit window start (text index minus pattern index) at which
+    at least one comparison was made.
+    """
+    text, pat = query.text, query.pattern
+    n, m = len(text), len(pat)
+    if n < m:
+        return SearchOutcome()
+    first_only = query.mode is Mode.FIRST_MATCH
+    fail = _failure_function(pat)
+    positions: list[int] = []
+    comparisons = alignments = 0
+    last_start = -1
+
+    i = j = 0
+    while i < n:
+        if i - j != last_start:
+            last_start = i - j
+            alignments += 1
+        comparisons += 1
+        if text[i] == pat[j]:
+            i += 1
+            j += 1
+            if j == m:
+                positions.append(i - m)
+                if first_only:
+                    break
+                j = fail[j - 1]
+        elif j > 0:
+            j = fail[j - 1]
+        else:
+            i += 1
+
+    return SearchOutcome(positions=positions, comparisons=comparisons, alignments=alignments)
 
 
 def run_cli(argv: list[str], stdin: bytes = b"") -> tuple[int, str, str]:

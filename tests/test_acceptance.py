@@ -226,7 +226,7 @@ def test_criterion_09_derived_stat_spot_checks():
     for (_, _, n, k, b, f, expected_impr) in KNOWN_BENCHMARK_ROWS:
         assert present(derive_stats(n, k, b, f).improvement_pct) == f"{expected_impr:.2f}"
 
-    totals = aggregate_stats(counts)
+    totals = aggregate_stats([derive_stats(*c) for c in counts], KNOWN_TOTALS)
     assert abs(totals.improvement_pct - 5.33) <= 0.005
     assert abs(totals.reduction_vs_naive_pct - 81.70) <= 0.05
     print(f"\ncriterion 9 PASS: improvement {totals.improvement_pct:.4f}%, "

@@ -6,6 +6,7 @@ import re
 import pytest
 
 import fbas.bench as bench_module
+import fbas.metrics as metrics_module
 from fbas import (
     BenchReport,
     BenchTotals,
@@ -46,10 +47,10 @@ def report_from_counts(rows, corpus_name="reference", corpus_length=551846):
             duplicate=pattern in seen,
         ))
         seen.add(pattern)
-    counts = [tuple(r.counts.values()) for r in built]
+    total_counts = {algo: sum(r.counts[algo] for r in built) for algo in ALGORITHMS}
     totals = BenchTotals(
-        counts={algo: sum(r.counts[algo] for r in built) for algo in ALGORITHMS},
-        stats=aggregate_stats(counts),
+        counts=total_counts,
+        stats=aggregate_stats([r.stats for r in built], tuple(total_counts.values())),
     )
     return BenchReport(tuple(built), totals, corpus_name, corpus_length, Mode.ALL_MATCHES)
 
@@ -130,6 +131,18 @@ class TestRunBenchmark:
         assert list(report.totals.counts) == list(ALGORITHMS)
         for algo in ALGORITHMS:
             assert report.totals.counts[algo] == sum(r.counts[algo] for r in report.rows)
+
+    def test_stats_derived_once_per_row_plus_totals(self, fixture_corpus, fixture_patterns, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return derive_stats(*args, **kwargs)
+
+        monkeypatch.setattr(bench_module, "derive_stats", counting)
+        monkeypatch.setattr(metrics_module, "derive_stats", counting)
+        run_benchmark(fixture_corpus, fixture_patterns)
+        assert len(calls) == len(fixture_patterns) + 1
 
     def test_row_stats_satisfy_formulas(self, fixture_corpus, fixture_patterns):
         report = run_benchmark(fixture_corpus, fixture_patterns)

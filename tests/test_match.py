@@ -21,7 +21,7 @@ from fbas import (
     search,
     select_anchor,
 )
-from helpers import oracle_positions
+from helpers import oracle_positions, per_window_kmp_search, per_window_naive_search
 
 ALL = Mode.ALL_MATCHES
 FIRST = Mode.FIRST_MATCH
@@ -234,6 +234,46 @@ class TestOracleEquivalence:
             all_mode = matcher(SearchQuery(text, pattern, ALL))
             first_mode = matcher(SearchQuery(text, pattern, FIRST))
             assert first_mode.comparisons <= all_mode.comparisons
+
+
+def _counted(outcome):
+    return outcome.positions, outcome.comparisons, outcome.alignments
+
+
+class TestSkipLoop:
+    """naive and kmp reach candidate windows with bytes.find; their
+    positions and counts equal those of the per-window loops."""
+
+    PAIRS = ((naive_search, per_window_naive_search), (kmp_search, per_window_kmp_search))
+
+    def assert_same_as_per_window(self, text, pattern):
+        for mode in (ALL, FIRST):
+            query = SearchQuery(text, pattern, mode)
+            for matcher, reference in self.PAIRS:
+                assert _counted(matcher(query)) == _counted(reference(query)), (matcher.__name__, mode)
+
+    @given(search_cases())
+    @settings(max_examples=300)
+    def test_counts_equal_per_window_loops(self, case):
+        self.assert_same_as_per_window(*case)
+
+    @pytest.mark.parametrize(
+        "text,pattern",
+        [
+            pytest.param(b"bcdbcdbcd", b"abc", id="first-byte-absent"),
+            pytest.param(b"bbbbbbbab", b"aab", id="first-byte-only-in-last-m-1"),
+            pytest.param(b"bbbbbbaab", b"aab", id="match-in-last-window"),
+            pytest.param(b"abcabc", b"c", id="m-is-1"),
+            pytest.param(b"abcabc", b"abcabc", id="m-is-n"),
+            pytest.param(b"abcabc", b"abcabd", id="m-is-n-no-match"),
+            pytest.param(b"a" * 1000, b"aaa", id="all-candidates"),
+            pytest.param(b"aaaab", b"aab", id="kmp-falls-back-to-0"),
+            pytest.param(b"x\xe0y\xe0\xe8\xe0", b"\xe0\xe8", id="high-first-byte"),
+            pytest.param(b"ab", b"abc", id="text-shorter"),
+        ],
+    )
+    def test_edge_cases(self, text, pattern):
+        self.assert_same_as_per_window(text, pattern)
 
 
 class TestOutcomeInvariants:
