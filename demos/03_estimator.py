@@ -2,9 +2,10 @@
 
 On uniform random text over sigma letters, the anchor matches a random
 text byte with probability 1/sigma. The model charges the full m - 1
-remaining comparisons after every anchor hit, so it is exact for m = 2
-(a single secondary comparison cannot stop early) and an upper bound
-for longer patterns, where verification stops at the first mismatch.
+remaining comparisons after every anchor hit, so it is exact for m <= 2
+(for m = 1 a window costs one comparison, for m = 2 a single secondary
+comparison cannot stop early) and an upper bound for longer patterns,
+where verification stops at the first mismatch.
 """
 import random
 

@@ -83,7 +83,10 @@ def load_patterns(source) -> PatternSet:
 @dataclass(frozen=True)
 class BenchRow:
     """Comparison counts and derived stats for one pattern. ``counts``
-    maps each matcher name to its count, in ``ALGORITHMS`` order."""
+    maps each matcher name to its count, in ``ALGORITHMS`` order.
+    ``label`` is the pattern as UTF-8 text, with a backslash written as
+    ``\\\\`` and any other byte that is not UTF-8 as ``\\xNN``, so each
+    label names one byte string."""
 
     label: str
     pattern: bytes
@@ -170,7 +173,7 @@ def run_benchmark(
         counts = {algo: outcomes[algo].comparisons for algo in ALGORITHMS}
         rows.append(
             BenchRow(
-                label=pat.decode("utf-8", "backslashreplace"),
+                label=pat.replace(b"\\", b"\\\\").decode("utf-8", "backslashreplace"),
                 pattern=pat,
                 counts=counts,
                 occurrences=len(reference.positions),

@@ -153,6 +153,13 @@ class TestRunBenchmark:
             assert r.stats.speedup_vs_naive == pytest.approx(naive / fbas)
             assert r.stats.reduction_vs_naive_pct == pytest.approx(100 * (naive - fbas) / naive)
 
+    def test_labels_tell_a_backslash_from_an_escaped_byte(self):
+        report = run_benchmark(Corpus(b"\\xff \xff \xe0\xa0", "tiny"),
+                               PatternSet((b"\\xff", b"\xff", b"\xe0")))
+        assert [r.label for r in report.rows] == ["\\\\xff", "\\xff", "\\xe0"]
+        csv_rows = render_report(report, ReportFormat.CSV).splitlines()[1:4]
+        assert [row.split(",")[0] for row in csv_rows] == ["\\\\xff", "\\xff", "\\xe0"]
+
     def test_duplicates_flagged(self):
         report = run_benchmark(Corpus(b"abcabc", "tiny"), PatternSet((b"abc", b"abc")))
         assert [r.duplicate for r in report.rows] == [False, True]
@@ -165,7 +172,7 @@ class TestRunBenchmark:
                 assert row_first.counts[algo] <= row_all.counts[algo]
 
     def test_disagreement_detected(self, monkeypatch):
-        def broken_kmp(query, record_windows=False):
+        def broken_kmp(query):
             return SearchOutcome(positions=[999])
 
         monkeypatch.setattr(bench_module, "kmp_search", broken_kmp)

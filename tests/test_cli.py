@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+import fbas.cli
 from conftest import DATA_DIR
 from fbas import Mode, SearchQuery, fbas_search, load_table
 from helpers import run_cli
@@ -116,6 +117,13 @@ class TestSearch:
         proc.stderr.close()
         assert stderr == b""
         assert code == 141
+
+    def test_interrupt_exits_quietly(self, monkeypatch):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(fbas.cli, "search", interrupted)
+        assert run_cli(["search", "x", "-"], stdin=b"x") == (130, "", "")
 
 
 class TestAnchor:
@@ -234,6 +242,16 @@ class TestBench:
 
 
 class TestUsage:
+    def test_parser_is_built_once_per_process(self, monkeypatch):
+        def rebuilt():
+            raise AssertionError("main rebuilt the parser")
+
+        monkeypatch.setattr(fbas.cli, "build_parser", rebuilt)
+        assert run_cli(["anchor", "nel mezzo"])[:2] == (0, "index=6 char=z score=1\n")
+        code, out, _ = run_cli(["bench", CORPUS, PATTERNS, "--format", "json"])
+        assert code == 0
+        assert len(json.loads(out)["rows"]) == 12
+
     def test_missing_subcommand(self):
         code, _, _ = run_cli([])
         assert code == 2
