@@ -206,10 +206,6 @@ CSV_HEADER = (
 _TABLE_COLUMNS = ("Pattern", "Length", "Naive", "KMP", "BMH", "FBAS", "Improvement")
 
 
-def _opt(value: float | None) -> str:
-    return "" if value is None else repr(value)
-
-
 def _caption(report: BenchReport) -> str:
     return (
         f"corpus: {report.source_name} ({report.corpus_length:,} bytes),"
@@ -266,8 +262,8 @@ def _render_csv(report: BenchReport) -> str:
             r.label,
             r.length,
             *r.counts.values(),
-            _opt(r.stats.improvement_pct),
-            _opt(r.stats.speedup_vs_naive),
+            r.stats.improvement_pct,
+            r.stats.speedup_vs_naive,
             r.anchor.index,
             display_byte(r.anchor.character),
             r.anchor.score,
@@ -275,7 +271,7 @@ def _render_csv(report: BenchReport) -> str:
     t = report.totals
     writer.writerow([
         "TOTAL", "", *t.counts.values(),
-        _opt(t.stats.improvement_pct), _opt(t.stats.speedup_vs_naive), "", "", "",
+        t.stats.improvement_pct, t.stats.speedup_vs_naive, "", "", "",
     ])
     return out.getvalue()
 

@@ -14,7 +14,9 @@ and changes only the verification order inside a window: the pattern's
 rarest byte (the anchor) is tested first, so a window whose anchor
 mismatches is rejected after exactly one comparison. Both Horspool
 matchers run the same walk and differ only in that order, so they
-examine the same sequence of windows by construction.
+examine the same sequence of windows by construction. The loops keep
+counts only: a window whose first test misses costs one comparison,
+so the misses need no bookkeeping beyond ``alignments``.
 """
 from __future__ import annotations
 
@@ -60,10 +62,9 @@ class SearchOutcome:
     ``alignments`` counts window positions examined. ``anchor`` is the
     position the fbas matcher verified first in every window, and
     ``anchor_hits`` counts the windows where it matched; the other three
-    matchers leave them None and 0. When a Horspool matcher was asked to
-    record windows, ``windows`` holds one ``(position, cost, anchor_hit)``
-    tuple per examined alignment, in order; the costs sum to
-    ``comparisons``.
+    matchers leave them None and 0. For fbas, the
+    ``alignments - anchor_hits`` misses cost one comparison each and the
+    hits cost the rest of ``comparisons``.
     """
 
     positions: list[int] = field(default_factory=list)
@@ -71,7 +72,6 @@ class SearchOutcome:
     alignments: int = 0
     anchor_hits: int = 0
     anchor: AnchorSelection | None = None
-    windows: list[tuple[int, int, bool]] | None = None
 
     @property
     def found(self) -> bool:
@@ -152,10 +152,13 @@ def kmp_search(query: SearchQuery) -> SearchOutcome:
     Only search-phase comparisons are counted; building the failure
     function is preprocessing. An alignment here is a distinct value of
     the implicit window start (text index minus pattern index) at which
-    at least one comparison was made. After a mismatch against ``pat[0]``
-    the scan restarts at the next ``pat[0]`` found by ``bytes.find``;
-    each text byte skipped on the way counts as the one comparison and
-    the one alignment the per-byte loop would have spent on it.
+    at least one comparison was made. The start only moves forward, so
+    alignments are counted where it moves: after a mismatch at a pattern
+    index above 0, after a full match with text left, and on a skip. After
+    a mismatch against ``pat[0]`` the scan restarts at the next
+    ``pat[0]`` found by ``bytes.find``; each text byte skipped on the
+    way counts as the one comparison and the one alignment the per-byte
+    loop would have spent on it.
     """
     text, pat = query.text, query.pattern
     n, m = len(text), len(pat)
@@ -165,14 +168,10 @@ def kmp_search(query: SearchQuery) -> SearchOutcome:
     fail = _failure_function(pat)
     head = pat[:1]
     positions: list[int] = []
-    comparisons = alignments = 0
-    last_start = -1
+    comparisons, alignments = 0, 1
 
     i = j = 0
     while i < n:
-        if i - j != last_start:
-            last_start = i - j
-            alignments += 1
         comparisons += 1
         if text[i] == pat[j]:
             i += 1
@@ -182,39 +181,42 @@ def kmp_search(query: SearchQuery) -> SearchOutcome:
                 if first_only:
                     break
                 j = fail[j - 1]
+                if i < n:
+                    alignments += 1
         elif j > 0:
             j = fail[j - 1]
+            alignments += 1
         else:
             k = text.find(head, i + 1)
             if k < 0:
-                k = n
+                comparisons += n - i - 1
+                alignments += n - i - 1
+                break
             comparisons += k - i - 1
-            alignments += k - i - 1
-            last_start = k - 1
+            alignments += k - i
             i = k
 
     return SearchOutcome(positions=positions, comparisons=comparisons, alignments=alignments)
 
 
-def _horspool_walk(
-    query: SearchQuery, anchor: AnchorSelection | None, record_windows: bool
-) -> SearchOutcome:
+def _horspool_walk(query: SearchQuery, anchor: AnchorSelection | None) -> SearchOutcome:
     """Visit Horspool's windows, verifying each in an order set by ``anchor``.
 
     With no anchor, positions are tested right to left (bmh). With one,
     the anchor is tested first and the other positions left to right;
     a window whose anchor matches counts as an anchor hit. Testing stops
-    at the first mismatch. The shift after every window comes from the
-    last window byte, so the window sequence depends on the text and
-    pattern only, never on the anchor.
+    at the first mismatch. A window whose first test misses costs its
+    one comparison and is counted by ``alignments`` alone; only a hit
+    does more work. The shift after every window comes from the last
+    window byte, so the window sequence depends on the text and pattern
+    only, never on the anchor.
     """
     text, pat = query.text, query.pattern
     m = len(pat)
     limit = len(text) - m
     first_only = query.mode is Mode.FIRST_MATCH
     shifts = build_shift_table(pat)
-    anchored = anchor is not None
-    if anchored:
+    if anchor is not None:
         first = anchor.index
         rest = [i for i in range(m) if i != first]
     else:
@@ -222,50 +224,39 @@ def _horspool_walk(
     first_byte = pat[first]
     last = m - 1
     positions: list[int] = []
-    windows: list[tuple[int, int, bool]] | None = [] if record_windows else None
     alignments = hits = extra = 0
 
     pos = 0
     while pos <= limit:
         alignments += 1
-        cost = 1
-        hit = text[pos + first] == first_byte
-        if hit:
+        if text[pos + first] == first_byte:
             hits += 1
             for i in rest:
-                cost += 1
+                extra += 1
                 if text[pos + i] != pat[i]:
                     break
             else:
                 positions.append(pos)
-            extra += cost - 1
-        if windows is not None:
-            windows.append((pos, cost, hit and anchored))
-        if first_only and positions:
-            break
+                if first_only:
+                    break
         pos += shifts[text[pos + last]]
 
     return SearchOutcome(
         positions=positions,
         comparisons=alignments + extra,
         alignments=alignments,
-        anchor_hits=hits if anchored else 0,
+        anchor_hits=hits if anchor is not None else 0,
         anchor=anchor,
-        windows=windows,
     )
 
 
-def bmh_search(query: SearchQuery, record_windows: bool = False) -> SearchOutcome:
+def bmh_search(query: SearchQuery) -> SearchOutcome:
     """Boyer-Moore-Horspool: verify right to left, shift by the
     bad-character rule on the last window byte."""
-    return _horspool_walk(query, None, record_windows)
+    return _horspool_walk(query, None)
 
 
-def fbas_search(
-    query: SearchQuery,
-    table: FrequencyTable | None = None,
-    record_windows: bool = False,
-) -> SearchOutcome:
+def fbas_search(query: SearchQuery, table: FrequencyTable | None = None) -> SearchOutcome:
     """Anchor-first Horspool search.
 
     Each window first tests the anchor byte (one comparison). Only on
@@ -277,7 +268,7 @@ def fbas_search(
     once by ``select_anchor(pattern, table)``, is returned as
     ``outcome.anchor``.
     """
-    return _horspool_walk(query, select_anchor(query.pattern, table), record_windows)
+    return _horspool_walk(query, select_anchor(query.pattern, table))
 
 
 ALGORITHMS = ("naive", "kmp", "bmh", "fbas")

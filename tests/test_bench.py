@@ -119,7 +119,7 @@ class TestRunBenchmark:
     def test_absent_anchor_means_unit_cost_per_window(self):
         # anchor byte 'z' never occurs, so every window costs one comparison
         corpus = Corpus(b"la vita nova", "tiny")
-        outcome = fbas_search(SearchQuery(corpus.data, b"az"), record_windows=True)
+        outcome = fbas_search(SearchQuery(corpus.data, b"az"))
         assert outcome.comparisons == outcome.alignments
 
     def test_empty_pattern_set_rejected(self, fixture_corpus):

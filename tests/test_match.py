@@ -21,7 +21,12 @@ from fbas import (
     search,
     select_anchor,
 )
-from helpers import oracle_positions, per_window_kmp_search, per_window_naive_search
+from helpers import (
+    oracle_positions,
+    per_window_horspool_walk,
+    per_window_kmp_search,
+    per_window_naive_search,
+)
 
 ALL = Mode.ALL_MATCHES
 FIRST = Mode.FIRST_MATCH
@@ -38,6 +43,20 @@ def search_cases(draw):
     else:
         pattern = draw(st.text(alphabet=sigma, min_size=1, max_size=8)).encode()
     return text, pattern
+
+
+def bmh_trace(query):
+    """bmh's windows from the reference walk, once bmh_search agrees with it."""
+    outcome, windows = per_window_horspool_walk(query, None)
+    assert bmh_search(query) == outcome
+    return outcome, windows
+
+
+def fbas_trace(query, table=None):
+    """fbas's windows from the reference walk, once fbas_search agrees with it."""
+    outcome, windows = per_window_horspool_walk(query, select_anchor(query.pattern, table))
+    assert fbas_search(query, table) == outcome
+    return outcome, windows
 
 
 # Tables that rank the letters of search_cases in arbitrary order.
@@ -148,22 +167,22 @@ class TestFbas:
 
     def test_anchor_miss_costs_one_per_window(self):
         # anchor of "bz" is 'z' (score 1), which never occurs in the text
-        outcome = fbas_search(SearchQuery("xbxx", "bz"), record_windows=True)
+        outcome = fbas_search(SearchQuery("xbxx", "bz"))
         assert outcome.positions == []
-        assert [cost for _, cost, _ in outcome.windows] == [1] * outcome.alignments
+        assert outcome.comparisons == outcome.alignments == 2
         assert outcome.anchor_hits == 0
 
     def test_full_match_costs_pattern_length(self):
         text = "mi ritrovai per una selva oscura di notte"
-        outcome = fbas_search(SearchQuery(text, "oscura"), record_windows=True)
+        outcome, windows = fbas_trace(SearchQuery(text, "oscura"))
         assert outcome.positions == [text.index("oscura")]
-        by_position = {pos: (cost, hit) for pos, cost, hit in outcome.windows}
+        by_position = {pos: (cost, hit) for pos, cost, hit in windows}
         assert by_position[outcome.positions[0]] == (6, True)
 
     def test_single_byte_pattern_anchor_is_whole_verification(self):
-        outcome = fbas_search(SearchQuery("abcabc", "b"), record_windows=True)
+        outcome = fbas_search(SearchQuery("abcabc", "b"))
         assert outcome.positions == [1, 4]
-        assert all(cost == 1 for _, cost, _ in outcome.windows)
+        assert outcome.comparisons == outcome.alignments == 6
         assert outcome.anchor_hits == 2
 
     def test_respects_custom_table(self):
@@ -208,24 +227,24 @@ class TestOracleEquivalence:
         text, pattern = case
         for mode in (ALL, FIRST):
             query = SearchQuery(text, pattern, mode)
-            fbas = fbas_search(query, record_windows=True)
-            bmh = bmh_search(query, record_windows=True)
-            assert [w[0] for w in fbas.windows] == [w[0] for w in bmh.windows]
+            _, fbas_windows = fbas_trace(query)
+            _, bmh_windows = bmh_trace(query)
+            assert [w[0] for w in fbas_windows] == [w[0] for w in bmh_windows]
 
     @given(search_cases())
     def test_fail_fast_cost_identity(self, case):
         text, pattern = case
-        outcome = fbas_search(SearchQuery(text, pattern), record_windows=True)
+        outcome, windows = fbas_trace(SearchQuery(text, pattern))
         m = len(pattern)
         extra = 0
-        for _, cost, hit in outcome.windows:
+        for _, cost, hit in windows:
             assert 1 <= cost <= m
             if hit:
                 extra += cost - 1
             else:
                 assert cost == 1
         assert outcome.comparisons == outcome.alignments + extra
-        assert outcome.anchor_hits == sum(hit for _, _, hit in outcome.windows)
+        assert outcome.anchor_hits == sum(hit for _, _, hit in windows)
 
     @given(search_cases())
     def test_first_match_never_costs_more(self, case):
@@ -236,21 +255,24 @@ class TestOracleEquivalence:
             assert first_mode.comparisons <= all_mode.comparisons
 
 
-def _counted(outcome):
-    return outcome.positions, outcome.comparisons, outcome.alignments
-
-
 class TestSkipLoop:
-    """naive and kmp reach candidate windows with bytes.find; their
-    positions and counts equal those of the per-window loops."""
+    """Every matcher against its per-window reference: naive and kmp reach
+    candidate windows with bytes.find, and bmh and fbas keep no window
+    trace, yet their whole outcomes (positions, counts, anchor hits and
+    anchor) equal those of the per-window loops."""
 
-    PAIRS = ((naive_search, per_window_naive_search), (kmp_search, per_window_kmp_search))
+    PAIRS = (
+        (naive_search, per_window_naive_search),
+        (kmp_search, per_window_kmp_search),
+        (bmh_search, lambda q: per_window_horspool_walk(q, None)[0]),
+        (fbas_search, lambda q: per_window_horspool_walk(q, select_anchor(q.pattern))[0]),
+    )
 
     def assert_same_as_per_window(self, text, pattern):
         for mode in (ALL, FIRST):
             query = SearchQuery(text, pattern, mode)
             for matcher, reference in self.PAIRS:
-                assert _counted(matcher(query)) == _counted(reference(query)), (matcher.__name__, mode)
+                assert matcher(query) == reference(query), (matcher.__name__, mode)
 
     @given(search_cases())
     @settings(max_examples=300)
@@ -270,6 +292,9 @@ class TestSkipLoop:
             pytest.param(b"aaaab", b"aab", id="kmp-falls-back-to-0"),
             pytest.param(b"x\xe0y\xe0\xe8\xe0", b"\xe0\xe8", id="high-first-byte"),
             pytest.param(b"ab", b"abc", id="text-shorter"),
+            pytest.param(b"abz xbz abzz", b"abz", id="anchor-is-last-byte"),
+            pytest.param(b"nel mezo, nel mezzo, pizza", b"nel mezzo", id="anchor-byte-twice"),
+            pytest.param(b"xxxxxuoscura", b"oscura", id="shift-aligns-anchor"),
         ],
     )
     def test_edge_cases(self, text, pattern):
@@ -297,7 +322,7 @@ class TestOutcomeInvariants:
 
     def test_searches_are_pure(self):
         query = SearchQuery("la selva oscura", "selva")
-        assert fbas_search(query, record_windows=True) == fbas_search(query, record_windows=True)
+        assert fbas_search(query) == fbas_search(query)
 
 
 class TestWindowTrace:
@@ -306,19 +331,11 @@ class TestWindowTrace:
         text, pattern = case
         for mode in (ALL, FIRST):
             query = SearchQuery(text, pattern, mode)
-            for matcher in (bmh_search, fbas_search):
-                outcome = matcher(query, record_windows=True)
-                assert len(outcome.windows) == outcome.alignments
-                assert sum(cost for _, cost, _ in outcome.windows) == outcome.comparisons
-                plain = matcher(query)
-                assert (plain.positions, plain.comparisons, plain.alignments, plain.anchor_hits) == (
-                    outcome.positions, outcome.comparisons, outcome.alignments, outcome.anchor_hits)
-            assert not any(hit for _, _, hit in bmh_search(query, record_windows=True).windows)
-
-    def test_recording_off_by_default(self):
-        query = SearchQuery("la selva oscura", "selva")
-        for matcher in (naive_search, kmp_search, bmh_search, fbas_search):
-            assert matcher(query).windows is None
+            for trace in (bmh_trace, fbas_trace):
+                outcome, windows = trace(query)
+                assert len(windows) == outcome.alignments
+                assert sum(cost for _, cost, _ in windows) == outcome.comparisons
+            assert not any(hit for _, _, hit in bmh_trace(query)[1])
 
 
 class TestReportedAnchor:
@@ -334,9 +351,9 @@ class TestReportedAnchor:
     def test_every_window_tests_the_reported_anchor_first(self, case, custom):
         text, pattern = case
         for table in (None, custom):
-            outcome = fbas_search(SearchQuery(text, pattern), table, record_windows=True)
+            outcome, windows = fbas_trace(SearchQuery(text, pattern), table)
             a = outcome.anchor.index
-            for pos, cost, hit in outcome.windows:
+            for pos, cost, hit in windows:
                 assert hit == (text[pos + a] == pattern[a])
                 if not hit:
                     assert cost == 1
@@ -346,7 +363,6 @@ class TestReportedAnchor:
         query = SearchQuery(*case)
         for matcher in (naive_search, kmp_search, bmh_search):
             assert matcher(query).anchor is None
-        assert bmh_search(query, record_windows=True).anchor is None
 
 
 class TestSearchDispatch:
