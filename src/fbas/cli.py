@@ -125,11 +125,14 @@ def main(argv: list[str] | None = None) -> int:
         return code
     except KeyboardInterrupt:
         return 130
-    except BrokenPipeError:
-        # Point stdout at devnull so the flush at interpreter exit cannot
-        # fail again on the closed pipe.
+    except OSError as exc:
+        # Reads fail as IoFailure, so this is a failed write to stdout. Point
+        # stdout at devnull so the flush at interpreter exit cannot fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 141
+        if isinstance(exc, BrokenPipeError):
+            return 141
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
     except (FbasError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

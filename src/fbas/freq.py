@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping
@@ -27,45 +27,47 @@ MAX_SCORE = 50
 # 'a' and 'e' sit apart at 28 and 29, so 25..27 are deliberately unused.
 _RARITY_ORDER = "zjxqkwyvfbghpmduclsnrtio"
 
+# Byte value -> the byte it scores as: A-Z map to a-z, all else to itself.
+_FOLD = bytes(range(256)).lower()
+
 
 @dataclass(frozen=True)
 class FrequencyTable:
     """Immutable mapping from byte values to rarity scores.
 
-    Lookup is total: bytes without an explicit entry score ``DEFAULT_SCORE``.
+    Uppercase ASCII keys fold to their lowercase letter; when two keys
+    fold together, the later one wins. ``scores`` holds the score of
+    every byte, indexed by byte value: an uppercase letter scores as its
+    lowercase letter and a byte without an entry scores ``DEFAULT_SCORE``.
     Safe to share across concurrent searches.
     """
 
     entries: Mapping[int, int]
     name: str = "custom"
+    scores: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        folded = {}
         for b, s in self.entries.items():
-            if not 0 <= b <= 255:
-                raise ValueError(f"entry key is not a byte: {b}")
-            if not MIN_SCORE <= s <= MAX_SCORE:
-                raise ValueError(f"score for byte {b} out of range 1..50: {s}")
-        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
+            if type(b) is not int or not 0 <= b <= 255:
+                raise ValueError(f"entry key is not a byte: {b!r}")
+            if type(s) is not int or not MIN_SCORE <= s <= MAX_SCORE:
+                raise ValueError(f"score for byte {b} is not an integer in 1..50: {s!r}")
+            folded[_FOLD[b]] = s
+        object.__setattr__(self, "entries", MappingProxyType(folded))
+        object.__setattr__(self, "scores", bytes(folded.get(f, DEFAULT_SCORE) for f in _FOLD))
 
     def score(self, c) -> int:
-        """Rarity score of a character.
-
-        Uppercase ASCII letters are lowercased before lookup; all other
-        bytes (including non-ASCII) are looked up as-is. Absent bytes
-        score the default of 50.
-        """
-        b = byte_value(c)
-        if 0x41 <= b <= 0x5A:
-            b += 0x20
-        return self.entries.get(b, DEFAULT_SCORE)
+        """Rarity score of a character (str/bytes of length 1, or int 0..255)."""
+        return self.scores[byte_value(c)]
 
 
 @dataclass(frozen=True)
 class AnchorSelection:
     """The pattern position chosen for anchor-first verification.
 
-    ``character`` is the original pattern byte (not lowercased);
-    ``score`` is the table score of its lowercased form.
+    ``character`` is the pattern byte as written; ``score`` is its
+    table score.
     """
 
     index: int
@@ -114,30 +116,23 @@ def table_from_corpus(text, name: str = "corpus") -> FrequencyTable:
 def select_anchor(pattern, table: FrequencyTable | None = None) -> AnchorSelection:
     """Pick the pattern position with the minimum rarity score.
 
-    A single left-to-right pass keeps the first position whose score is
-    strictly smaller than the running minimum, so ties resolve to the
-    earliest index.
+    Ties resolve to the earliest index.
     """
     pat = as_bytes(pattern)
     if not pat:
         raise EmptyPattern("cannot select an anchor in an empty pattern")
     if table is None:
         table = _DEFAULT_TABLE
-    best_index = 0
-    best_score = table.score(pat[0])
-    for i in range(1, len(pat)):
-        s = table.score(pat[i])
-        if s < best_score:
-            best_score = s
-            best_index = i
-    return AnchorSelection(index=best_index, character=pat[best_index], score=best_score)
+    ranked = pat.translate(table.scores)
+    best = min(ranked)
+    index = ranked.index(best)
+    return AnchorSelection(index=index, character=pat[index], score=best)
 
 
 def _file_key(b: int) -> str:
-    # '#' would read as a comment and a literal uppercase letter loads as its
-    # lowercase letter, so both are escaped along with the non-printable bytes.
-    if b == 0x23 or 0x41 <= b <= 0x5A:
-        return f"\\x{b:02x}"
+    # '#' would read as a comment, so it is escaped like the non-printable bytes.
+    if b == 0x23:
+        return "\\x23"
     return display_byte(b)
 
 
@@ -146,8 +141,8 @@ def format_table(table: FrequencyTable) -> str:
     line per entry, ordered by ascending score then byte value.
 
     Printable ASCII bytes are written as themselves; control bytes,
-    non-ASCII bytes, '#' and uppercase letters as ``\\xNN``, so that
-    ``load_table`` gives back exactly the same entries.
+    non-ASCII bytes and '#' as ``\\xNN``, so that ``load_table`` gives
+    back exactly the same entries.
     """
     lines = [
         f"{_file_key(b)}\t{s}"
@@ -167,9 +162,8 @@ def load_table(source, name: str | None = None) -> FrequencyTable:
     (two hex digits). Non-ASCII characters are rejected: a table scores
     single bytes, and the UTF-8 bytes of such a character would never
     match it. Lines starting with '#' and blank lines are ignored.
-    Unlisted bytes default to 50. Literal uppercase ASCII letters fold to
-    lowercase, matching how scores are looked up; escaped bytes are kept
-    as written. Raises IoFailure when the source cannot be read.
+    Unlisted bytes default to 50. Raises IoFailure when the source cannot
+    be read.
     """
     data, src_name = read_source(source, "frequency table")
     label = name or Path(src_name).name
@@ -189,7 +183,7 @@ def load_table(source, name: str | None = None) -> FrequencyTable:
         if escaped:
             code = int(escaped.group(1), 16)
         elif key.isascii():
-            code = ord(key.lower())
+            code = ord(key)
         else:
             raise ValueError(
                 f"line {lineno}: {key!r} is not an ASCII character; write a byte as \\xNN"

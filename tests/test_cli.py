@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import fbas.cli
 from conftest import DATA_DIR
 from fbas import Mode, SearchQuery, fbas_search, load_table
@@ -11,6 +13,13 @@ from helpers import run_cli
 
 CORPUS = str(DATA_DIR / "italian_sample.txt")
 PATTERNS = str(DATA_DIR / "patterns12.txt")
+
+
+def _module_env() -> dict[str, str]:
+    """Environment in which ``python -m fbas`` imports the package under test."""
+    src = str(DATA_DIR.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 class TestSearch:
@@ -103,12 +112,9 @@ class TestSearch:
         # writing when the reader goes away.
         text = tmp_path / "e.txt"
         text.write_bytes(b"e" * 200_000)
-        src = str(DATA_DIR.parent / "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path}
         proc = subprocess.Popen(
             [sys.executable, "-m", "fbas", "search", "--all", "e", str(text)],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_module_env(),
         )
         assert proc.stdout.readline() == b"0\n"
         proc.stdout.close()
@@ -251,6 +257,21 @@ class TestUsage:
         code, out, _ = run_cli(["bench", CORPUS, PATTERNS, "--format", "json"])
         assert code == 0
         assert len(json.loads(out)["rows"]) == 12
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    @pytest.mark.parametrize(
+        "argv", [["table"], ["search", "e", CORPUS, "--all"]], ids=["table", "search"]
+    )
+    def test_failed_write_exits_two_with_one_error_line(self, argv):
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "fbas", *argv],
+                stdout=full, stderr=subprocess.PIPE, env=_module_env(), timeout=60,
+            )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(b"error: cannot write output: ")
+        assert proc.stderr.count(b"\n") == 1
+        assert b"Traceback" not in proc.stderr
 
     def test_missing_subcommand(self):
         code, _, _ = run_cli([])

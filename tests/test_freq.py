@@ -55,6 +55,7 @@ class TestDefaultTable:
         table = default_table()
         for b in range(256):
             assert 1 <= table.score(b) <= 50
+        assert table.scores == bytes(table.score(b) for b in range(256))
 
 
 class TestFrequencyTable:
@@ -72,6 +73,20 @@ class TestFrequencyTable:
     def test_non_byte_key_rejected(self):
         with pytest.raises(ValueError):
             FrequencyTable({300: 10})
+        with pytest.raises(ValueError):
+            FrequencyTable({97.0: 10})
+
+    @pytest.mark.parametrize("score", [1.5, 2.0, True, "3", None])
+    def test_non_integer_score_rejected(self, score):
+        # format_table would write such a score in a form load_table rejects
+        with pytest.raises(ValueError, match="is not an integer in 1..50"):
+            FrequencyTable({ord("a"): score})
+
+    def test_uppercase_key_scores_its_lowercase_letter(self):
+        table = FrequencyTable({ord("Z"): 1})
+        assert dict(table.entries) == {ord("z"): 1}
+        assert table.score("z") == table.score("Z") == 1
+        assert select_anchor("QUIZ", table).score == 1
 
 
 class TestSelectAnchor:
@@ -101,9 +116,12 @@ class TestSelectAnchor:
         with pytest.raises(EmptyPattern):
             select_anchor(b"")
 
-    @given(st.binary(min_size=1, max_size=40))
-    def test_anchor_invariants(self, pattern):
-        table = default_table()
+    @given(
+        st.binary(min_size=1, max_size=40),
+        st.none() | st.dictionaries(st.integers(0, 255), st.integers(1, 50)),
+    )
+    def test_anchor_invariants(self, pattern, entries):
+        table = default_table() if entries is None else FrequencyTable(entries)
         sel = select_anchor(pattern, table)
         assert 0 <= sel.index < len(pattern)
         assert sel.character == pattern[sel.index]
@@ -195,7 +213,15 @@ class TestTableFiles:
         assert table.score("q") == 4
         assert table.score("Q") == 4
 
-    @pytest.mark.parametrize("byte", [0x09, 0x0B, 0x1C, 0x85, ord("#"), ord("Q")])
+    def test_uppercase_literal_and_escaped_keys_score_alike(self):
+        tables = [load_table(io.StringIO(f"{key}\t4\n")) for key in ("Z", "\\x5a", "z")]
+        assert tables[0].scores == tables[1].scores == tables[2].scores
+
+    def test_later_line_wins_when_keys_fold_together(self):
+        assert load_table(io.StringIO("q\t5\nQ\t4\n")).score("q") == 4
+        assert load_table(io.StringIO("Q\t4\nq\t5\n")).score("Q") == 5
+
+    @pytest.mark.parametrize("byte", [0x09, 0x0B, 0x1C, 0x85, ord("#")])
     def test_unsafe_bytes_written_escaped(self, byte):
         text = format_table(FrequencyTable({byte: 3}))
         assert text == f"\\x{byte:02x}\t3\n"
@@ -203,7 +229,7 @@ class TestTableFiles:
 
     def test_escaped_keys_load_as_written(self):
         table = load_table(io.StringIO("\\xC3\t2\n\\x5a\t4\n\\\t5\n"))
-        assert dict(table.entries) == {0xC3: 2, ord("Z"): 4, ord("\\"): 5}
+        assert dict(table.entries) == {0xC3: 2, ord("z"): 4, ord("\\"): 5}
         # the lead byte of every two-byte UTF-8 letter such as 'à' is 0xC3
         assert select_anchor("città", table).score == 2
 
@@ -216,4 +242,5 @@ class TestTableFiles:
     def test_round_trip_property(self, entries):
         table = FrequencyTable(entries)
         reloaded = load_table(io.StringIO(format_table(table)))
-        assert dict(reloaded.entries) == entries
+        assert reloaded.entries == table.entries
+        assert reloaded.scores == table.scores
