@@ -43,15 +43,17 @@ def display_byte(b: int) -> str:
 def read_source(source, what: str) -> tuple[bytes, str]:
     """Read all bytes from a path, '-' (stdin), or a readable stream.
 
-    Returns the bytes and a name for the source. Text streams are
-    encoded as UTF-8. Raises IoFailure when the source cannot be read,
-    naming ``what`` was being read.
+    Returns the bytes and the source's name: the path, ``<stdin>``, or
+    the stream's ``name`` (else ``<stream>``). Text streams are encoded
+    as UTF-8. Raises IoFailure, naming ``what``, when reading fails.
     """
     try:
         if hasattr(source, "read"):
             data = source.read()
             name = str(getattr(source, "name", "<stream>"))
         elif str(source) == "-":
+            if sys.stdin is None:
+                raise IoFailure(f"cannot read {what} from -: stdin is closed")
             data = sys.stdin.buffer.read()
             name = "<stdin>"
         else:

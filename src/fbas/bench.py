@@ -12,7 +12,7 @@ import csv
 import enum
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from ._bytes import as_bytes, display_byte, read_source
 from .errors import EmptyCorpus, EmptyPattern, MatcherDisagreement
@@ -51,15 +51,13 @@ class PatternSet:
         return len(self.patterns)
 
 
-def load_corpus(source, lowercase: bool = False, name: str | None = None) -> Corpus:
-    """Read corpus bytes from a path, '-' (stdin), or a binary stream.
-
-    Bytes are kept verbatim unless ``lowercase`` is set, which folds
-    ASCII letters only. Raises IoFailure on unreadable sources and
-    EmptyCorpus when nothing was read.
+def load_corpus(source, lowercase: bool = False) -> Corpus:
+    """Read corpus bytes from a path, '-' (stdin), or a binary stream,
+    named as ``read_source`` names it. Bytes are kept verbatim unless
+    ``lowercase`` is set, which folds ASCII letters only. Raises
+    IoFailure on unreadable sources and EmptyCorpus when nothing was read.
     """
     data, src_name = read_source(source, "corpus")
-    src_name = name or src_name
     if not data:
         raise EmptyCorpus(f"corpus {src_name} is empty")
     if lowercase:
@@ -218,8 +216,7 @@ def _table_cells(report: BenchReport) -> list[list[str]]:
     rows = [(r.label, str(r.length), r.counts, r.stats) for r in report.rows]
     rows.append(("Total", "--", report.totals.counts, report.totals.stats))
     return [
-        [label, length, *(f"{c:,}" for c in counts.values()),
-         present(stats.improvement_pct, 2, "%")]
+        [label, length, *(f"{c:,}" for c in counts.values()), present(stats.improvement_pct)]
         for label, length, counts, stats in rows
     ]
 
@@ -276,14 +273,6 @@ def _render_csv(report: BenchReport) -> str:
     return out.getvalue()
 
 
-def _stats_dict(stats: DerivedStats) -> dict:
-    return {
-        "improvement_pct": stats.improvement_pct,
-        "speedup_vs_naive": stats.speedup_vs_naive,
-        "reduction_vs_naive_pct": stats.reduction_vs_naive_pct,
-    }
-
-
 def _render_json(report: BenchReport) -> str:
     doc = {
         "corpus_meta": {"source_name": report.source_name, "length": report.corpus_length},
@@ -300,11 +289,11 @@ def _render_json(report: BenchReport) -> str:
                     "char": display_byte(r.anchor.character),
                     "score": r.anchor.score,
                 },
-                **_stats_dict(r.stats),
+                **asdict(r.stats),
             }
             for r in report.rows
         ],
-        "totals": {**report.totals.counts, **_stats_dict(report.totals.stats)},
+        "totals": {**report.totals.counts, **asdict(report.totals.stats)},
         # Per-pattern series for external plotting of improvements and speedups.
         "series": {
             "patterns": [r.label for r in report.rows],

@@ -60,8 +60,6 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if args.corpus == "-" and args.patterns == "-":
-        raise ValueError("the corpus and the patterns cannot both come from stdin")
     corpus = load_corpus(args.corpus, lowercase=args.lowercase)
     patterns = load_patterns(args.patterns)
     mode = Mode.FIRST_MATCH if args.first_match else Mode.ALL_MATCHES
@@ -116,10 +114,20 @@ def build_parser() -> argparse.ArgumentParser:
 # bench call on the sample corpus, so every call of main reuses this one.
 _PARSER = build_parser()
 
+# Every argument that names a file to read, as error messages call it.
+_SOURCES = {"input": "input", "corpus": "corpus", "patterns": "patterns",
+            "from_corpus": "corpus", "freq_table": "frequency table"}
+
 
 def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
+    if sys.stdout is None:
+        print("error: cannot write output: stdout is closed", file=sys.stderr)
+        return 2
     try:
+        stdin = [what for dest, what in _SOURCES.items() if getattr(args, dest, None) == "-"]
+        if len(stdin) > 1:
+            raise ValueError(f"the {stdin[0]} and the {stdin[1]} cannot both come from stdin")
         code = args.func(args)
         sys.stdout.flush()
         return code

@@ -39,12 +39,13 @@ class FrequencyTable:
     fold together, the later one wins. ``scores`` holds the score of
     every byte, indexed by byte value: an uppercase letter scores as its
     lowercase letter and a byte without an entry scores ``DEFAULT_SCORE``.
-    Safe to share across concurrent searches.
+    Safe to share across concurrent searches, and hashable: equal tables
+    have equal ``scores``, which stand in for ``entries`` in the hash.
     """
 
-    entries: Mapping[int, int]
+    entries: Mapping[int, int] = field(hash=False)
     name: str = "custom"
-    scores: bytes = field(init=False, repr=False, compare=False)
+    scores: bytes = field(init=False, repr=False, compare=False, hash=True)
 
     def __post_init__(self):
         folded = {}
@@ -154,7 +155,7 @@ def format_table(table: FrequencyTable) -> str:
 _ESCAPED_KEY = re.compile(r"\\x([0-9a-fA-F]{2})")
 
 
-def load_table(source, name: str | None = None) -> FrequencyTable:
+def load_table(source) -> FrequencyTable:
     """Load a custom table from a file path, '-' (stdin), or a stream.
 
     Format: one entry per line as ``<key><TAB><score>``, UTF-8, scores
@@ -162,11 +163,11 @@ def load_table(source, name: str | None = None) -> FrequencyTable:
     (two hex digits). Non-ASCII characters are rejected: a table scores
     single bytes, and the UTF-8 bytes of such a character would never
     match it. Lines starting with '#' and blank lines are ignored.
-    Unlisted bytes default to 50. Raises IoFailure when the source cannot
-    be read.
+    Unlisted bytes default to 50. The table is named after the base name
+    of the source (``<stdin>`` for '-'). Raises IoFailure when the source
+    cannot be read.
     """
     data, src_name = read_source(source, "frequency table")
-    label = name or Path(src_name).name
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -195,4 +196,4 @@ def load_table(source, name: str | None = None) -> FrequencyTable:
         if not MIN_SCORE <= score <= MAX_SCORE:
             raise ValueError(f"line {lineno}: score {score} out of range 1..50")
         entries[code] = score
-    return FrequencyTable(entries, name=label)
+    return FrequencyTable(entries, name=Path(src_name).name)

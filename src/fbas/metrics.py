@@ -68,11 +68,10 @@ def _mean(values: list[float | None]) -> float | None:
     return fsum(defined) / len(defined) if defined else None
 
 
-def present(value: float | None, ndigits: int = 2, suffix: str = "") -> str:
-    """Format a stat for reports: fixed decimals with ties rounded away
-    from zero, 'n/a' when undefined."""
+def present(value: float | None) -> str:
+    """Format a percentage for reports: two decimals with ties rounded
+    away from zero and a '%' sign, 'n/a' when undefined."""
     if value is None:
         return "n/a"
     # Decimal of the shortest repr, so 0.575 rounds as written, not as stored.
-    quantized = Decimal(repr(value)).quantize(Decimal(1).scaleb(-ndigits), rounding=ROUND_HALF_UP)
-    return f"{quantized}{suffix}"
+    return f"{Decimal(repr(value)).quantize(Decimal('0.01'), rounding=ROUND_HALF_UP)}%"

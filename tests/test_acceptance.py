@@ -240,7 +240,7 @@ def test_criterion_09_derived_stat_spot_checks():
     counts = [(n, k, b, f) for (_, _, n, k, b, f, _) in KNOWN_BENCHMARK_ROWS]
     assert tuple(sum(c[i] for c in counts) for i in range(4)) == KNOWN_TOTALS
     for (_, _, n, k, b, f, expected_impr) in KNOWN_BENCHMARK_ROWS:
-        assert present(derive_stats(n, k, b, f).improvement_pct) == f"{expected_impr:.2f}"
+        assert present(derive_stats(n, k, b, f).improvement_pct) == f"{expected_impr:.2f}%"
 
     totals = aggregate_stats([derive_stats(*c) for c in counts], KNOWN_TOTALS)
     assert abs(totals.improvement_pct - 5.33) <= 0.005

@@ -70,9 +70,9 @@ class TestLoadCorpus:
         assert load_corpus(path, lowercase=True).data == "abc\xc8".encode("latin-1")
 
     def test_stream_source(self):
-        corpus = load_corpus(io.BytesIO(b"hello"), name="mem")
+        corpus = load_corpus(io.BytesIO(b"hello"))
         assert corpus.length == 5
-        assert corpus.source_name == "mem"
+        assert corpus.source_name == "<stream>"
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.txt"

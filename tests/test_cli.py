@@ -162,6 +162,10 @@ class TestAnchor:
             assert (code, out) == (2, "")
             assert err.startswith("error: cannot read frequency table")
 
+    def test_freq_table_from_stdin(self):
+        code, out, _ = run_cli(["anchor", "nel mezzo", "--freq-table", "-"], stdin=b"m\t1\n")
+        assert (code, out) == (0, "index=4 char=m score=1\n")
+
 
 class TestTable:
     def test_default_has_26_entries(self):
@@ -248,6 +252,34 @@ class TestBench:
 
 
 class TestUsage:
+    @pytest.mark.parametrize(
+        "argv",
+        [["search", "mezzo", "-", "--freq-table", "-"],
+         ["bench", CORPUS, "-", "--freq-table", "-"],
+         ["bench", "-", PATTERNS, "--freq-table", "-"]],
+        ids=["search", "bench-patterns", "bench-corpus"],
+    )
+    def test_two_sources_from_stdin_exit_two(self, argv):
+        code, out, err = run_cli(argv, stdin=b"nel mezzo del cammin")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: the ")
+        assert "cannot both come from stdin" in err
+
+    @pytest.mark.parametrize(
+        "argv,closed,message",
+        [(["search", "a", "-"], 0, b"error: cannot read input from -: stdin is closed\n"),
+         (["table"], 1, b"error: cannot write output: stdout is closed\n"),
+         (["anchor", "zz"], 1, b"error: cannot write output: stdout is closed\n"),
+         (["search", "e", CORPUS], 1, b"error: cannot write output: stdout is closed\n")],
+        ids=["stdin-search", "stdout-table", "stdout-anchor", "stdout-search"],
+    )
+    def test_closed_standard_stream_exits_two(self, argv, closed, message):
+        proc = subprocess.run(
+            [sys.executable, "-m", "fbas", *argv], stderr=subprocess.PIPE,
+            env=_module_env(), timeout=60, preexec_fn=lambda: os.close(closed),
+        )
+        assert (proc.returncode, proc.stderr) == (2, message)
+
     def test_parser_is_built_once_per_process(self, monkeypatch):
         def rebuilt():
             raise AssertionError("main rebuilt the parser")

@@ -88,6 +88,16 @@ class TestFrequencyTable:
         assert table.score("z") == table.score("Z") == 1
         assert select_anchor("QUIZ", table).score == 1
 
+    def test_hashable_and_hash_agrees_with_equality(self, tmp_path):
+        assert {default_table(): 1}[default_table()] == 1
+        path = tmp_path / "custom.tsv"
+        path.write_text("z\t1\nE\t29\n", encoding="utf-8")
+        first, second = load_table(path), load_table(path)
+        assert first == second
+        assert hash(first) == hash(second)
+        assert FrequencyTable({ord("Z"): 1}) == FrequencyTable({ord("z"): 1})
+        assert hash(FrequencyTable({ord("Z"): 1})) == hash(FrequencyTable({ord("z"): 1}))
+
 
 class TestSelectAnchor:
     def test_oscura_worked_example(self):

@@ -105,10 +105,10 @@ class TestRounding:
          (7.1229, 7.12), (2.125, 2.13), (1.0, 1.0)],
     )
     def test_half_away_from_zero(self, value, expected):
-        assert present(value) == f"{expected:.2f}"
+        assert present(value) == f"{expected:.2f}%"
 
     def test_present_formats_two_decimals(self):
-        assert present(5.333229, 2, "%") == "5.33%"
-        assert present(0.575, 2, "%") == "0.58%"
+        assert present(5.333229) == "5.33%"
+        assert present(0.575) == "0.58%"
         assert present(None) == "n/a"
 
