@@ -12,9 +12,9 @@ import csv
 import enum
 import io
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
-from ._bytes import as_bytes, display_byte, read_source
+from ._bytes import as_bytes, read_source
 from .errors import EmptyCorpus, EmptyPattern, MatcherDisagreement
 from .freq import AnchorSelection, FrequencyTable
 from .match import ALGORITHMS, Mode, SearchQuery, bmh_search, fbas_search, kmp_search, naive_search
@@ -80,23 +80,30 @@ def load_patterns(source) -> PatternSet:
 
 @dataclass(frozen=True)
 class BenchRow:
-    """Comparison counts and derived stats for one pattern. ``counts``
-    maps each matcher name to its count, in ``ALGORITHMS`` order.
-    ``label`` is the pattern as UTF-8 text, with a backslash written as
-    ``\\\\`` and any other byte that is not UTF-8 as ``\\xNN``, so each
-    label names one byte string."""
+    """Comparison counts for one pattern, as measured, with ``stats``
+    derived from the counts and ``length`` and ``label`` from the
+    pattern. ``counts`` maps each matcher name to its count, in
+    ``ALGORITHMS`` order. ``label`` is the pattern as UTF-8 text, with a
+    backslash written as ``\\\\`` and any other byte that is not UTF-8
+    as ``\\xNN``, so each label names one byte string."""
 
-    label: str
     pattern: bytes
     counts: dict[str, int]
     occurrences: int
     anchor: AnchorSelection
-    stats: DerivedStats
     duplicate: bool = False
+    stats: DerivedStats = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "stats", derive_stats(**self.counts))
 
     @property
     def length(self) -> int:
         return len(self.pattern)
+
+    @property
+    def label(self) -> str:
+        return self.pattern.replace(b"\\", b"\\\\").decode("utf-8", "backslashreplace")
 
 
 @dataclass(frozen=True)
@@ -109,11 +116,18 @@ class BenchTotals:
 
 @dataclass(frozen=True)
 class BenchReport:
+    """The rows of one run over a corpus; ``totals`` is derived from them."""
+
     rows: tuple[BenchRow, ...]
-    totals: BenchTotals
     source_name: str
     corpus_length: int
     mode: Mode
+    totals: BenchTotals = field(init=False)
+
+    def __post_init__(self):
+        counts = {algo: sum(r.counts[algo] for r in self.rows) for algo in ALGORITHMS}
+        stats = aggregate_stats([r.stats for r in self.rows], tuple(counts.values()))
+        object.__setattr__(self, "totals", BenchTotals(counts, stats))
 
 
 class ReportFormat(enum.Enum):
@@ -168,32 +182,16 @@ def run_benchmark(
                     pattern=pat,
                     first_difference=where,
                 )
-        counts = {algo: outcomes[algo].comparisons for algo in ALGORITHMS}
-        rows.append(
-            BenchRow(
-                label=pat.replace(b"\\", b"\\\\").decode("utf-8", "backslashreplace"),
-                pattern=pat,
-                counts=counts,
-                occurrences=len(reference.positions),
-                anchor=outcomes["fbas"].anchor,
-                stats=derive_stats(**counts),
-                duplicate=pat in seen,
-            )
-        )
+        rows.append(BenchRow(
+            pattern=pat,
+            counts={algo: outcomes[algo].comparisons for algo in ALGORITHMS},
+            occurrences=len(reference.positions),
+            anchor=outcomes["fbas"].anchor,
+            duplicate=pat in seen,
+        ))
         seen.add(pat)
 
-    total_counts = {algo: sum(r.counts[algo] for r in rows) for algo in ALGORITHMS}
-    totals = BenchTotals(
-        counts=total_counts,
-        stats=aggregate_stats([r.stats for r in rows], tuple(total_counts.values())),
-    )
-    return BenchReport(
-        rows=tuple(rows),
-        totals=totals,
-        source_name=corpus.source_name,
-        corpus_length=corpus.length,
-        mode=mode,
-    )
+    return BenchReport(tuple(rows), corpus.source_name, corpus.length, mode)
 
 
 CSV_HEADER = (
@@ -262,7 +260,7 @@ def _render_csv(report: BenchReport) -> str:
             r.stats.improvement_pct,
             r.stats.speedup_vs_naive,
             r.anchor.index,
-            display_byte(r.anchor.character),
+            r.anchor.char,
             r.anchor.score,
         ])
     t = report.totals
@@ -286,7 +284,7 @@ def _render_json(report: BenchReport) -> str:
                 "duplicate": r.duplicate,
                 "anchor": {
                     "index": r.anchor.index,
-                    "char": display_byte(r.anchor.character),
+                    "char": r.anchor.char,
                     "score": r.anchor.score,
                 },
                 **asdict(r.stats),

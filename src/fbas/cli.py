@@ -12,7 +12,7 @@ import argparse
 import os
 import sys
 
-from ._bytes import display_byte, read_source
+from ._bytes import read_source
 from .bench import ReportFormat, load_corpus, load_patterns, render_report, run_benchmark
 from .errors import FbasError
 from .freq import default_table, format_table, load_table, select_anchor, table_from_corpus
@@ -39,13 +39,13 @@ def _cmd_search(args) -> int:
         sel = outcome.anchor
         if sel is not None:
             print(f"anchor hits: {outcome.anchor_hits}")
-            print(f"anchor: '{display_byte(sel.character)}' @ {sel.index} (score {sel.score})")
+            print(f"anchor: '{sel.char}' @ {sel.index} (score {sel.score})")
     return 0 if outcome.found else 1
 
 
 def _cmd_anchor(args) -> int:
     sel = select_anchor(args.pattern, _resolve_table(args))
-    print(f"index={sel.index} char={display_byte(sel.character)} score={sel.score}")
+    print(f"index={sel.index} char={sel.char} score={sel.score}")
     return 0
 
 
@@ -55,7 +55,7 @@ def _cmd_table(args) -> int:
         table = table_from_corpus(corpus.data, name=corpus.source_name)
     else:
         table = default_table()
-    sys.stdout.write(format_table(table))
+    sys.stdout.writelines(format_table(table).splitlines(keepends=True))
     return 0
 
 
@@ -64,7 +64,7 @@ def _cmd_bench(args) -> int:
     patterns = load_patterns(args.patterns)
     mode = Mode.FIRST_MATCH if args.first_match else Mode.ALL_MATCHES
     report = run_benchmark(corpus, patterns, _resolve_table(args), mode)
-    sys.stdout.write(render_report(report, args.format))
+    sys.stdout.writelines(render_report(report, args.format).splitlines(keepends=True))
     return 0
 
 

@@ -68,7 +68,8 @@ class AnchorSelection:
     """The pattern position chosen for anchor-first verification.
 
     ``character`` is the pattern byte as written; ``score`` is its
-    table score.
+    table score. ``char`` shows the byte as every report does: printable
+    ASCII as itself, any other byte as ``\\xNN``.
     """
 
     index: int
@@ -77,7 +78,7 @@ class AnchorSelection:
 
     @property
     def char(self) -> str:
-        return chr(self.character)
+        return display_byte(self.character)
 
 
 _DEFAULT_ENTRIES = {ord(ch): i + 1 for i, ch in enumerate(_RARITY_ORDER)}
@@ -159,13 +160,13 @@ def load_table(source) -> FrequencyTable:
     """Load a custom table from a file path, '-' (stdin), or a stream.
 
     Format: one entry per line as ``<key><TAB><score>``, UTF-8, scores
-    1..50. A key is one ASCII character or a byte written as ``\\xNN``
-    (two hex digits). Non-ASCII characters are rejected: a table scores
-    single bytes, and the UTF-8 bytes of such a character would never
-    match it. Lines starting with '#' and blank lines are ignored.
-    Unlisted bytes default to 50. The table is named after the base name
-    of the source (``<stdin>`` for '-'). Raises IoFailure when the source
-    cannot be read.
+    1..50 in ASCII digits. A key is one ASCII character or a byte
+    written as ``\\xNN`` (two hex digits). Non-ASCII characters are
+    rejected: a table scores single bytes, and the UTF-8 bytes of such a
+    character would never match it. Lines starting with '#' and blank
+    lines are ignored. Unlisted bytes default to 50. The table is named
+    after the base name of the source (``<stdin>`` for '-'). Raises
+    IoFailure when the source cannot be read.
     """
     data, src_name = read_source(source, "frequency table")
     try:
@@ -189,10 +190,10 @@ def load_table(source) -> FrequencyTable:
             raise ValueError(
                 f"line {lineno}: {key!r} is not an ASCII character; write a byte as \\xNN"
             )
-        try:
-            score = int(score_text.strip())
-        except ValueError:
-            raise ValueError(f"line {lineno}: score {score_text!r} is not an integer") from None
+        digits = score_text.strip()
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError(f"line {lineno}: score {score_text!r} is not an integer")
+        score = int(digits)
         if not MIN_SCORE <= score <= MAX_SCORE:
             raise ValueError(f"line {lineno}: score {score} out of range 1..50")
         entries[code] = score

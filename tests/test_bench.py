@@ -9,7 +9,6 @@ import fbas.bench as bench_module
 import fbas.metrics as metrics_module
 from fbas import (
     BenchReport,
-    BenchTotals,
     Corpus,
     EmptyCorpus,
     EmptyPattern,
@@ -30,7 +29,6 @@ from fbas import (
     select_anchor,
 )
 from fbas.bench import CSV_HEADER, BenchRow
-from fbas.metrics import DerivedStats, aggregate_stats
 from helpers import KNOWN_BENCHMARK_ROWS
 
 
@@ -41,18 +39,12 @@ def report_from_counts(rows, corpus_name="reference", corpus_length=551846):
         pattern = label.encode()
         assert len(pattern) == length
         built.append(BenchRow(
-            label=label, pattern=pattern, counts=dict(zip(ALGORITHMS, row_counts)),
+            pattern=pattern, counts=dict(zip(ALGORITHMS, row_counts)),
             occurrences=0, anchor=select_anchor(pattern),
-            stats=derive_stats(*row_counts),
             duplicate=pattern in seen,
         ))
         seen.add(pattern)
-    total_counts = {algo: sum(r.counts[algo] for r in built) for algo in ALGORITHMS}
-    totals = BenchTotals(
-        counts=total_counts,
-        stats=aggregate_stats([r.stats for r in built], tuple(total_counts.values())),
-    )
-    return BenchReport(tuple(built), totals, corpus_name, corpus_length, Mode.ALL_MATCHES)
+    return BenchReport(tuple(built), corpus_name, corpus_length, Mode.ALL_MATCHES)
 
 
 class TestLoadCorpus:
@@ -160,6 +152,11 @@ class TestRunBenchmark:
         csv_rows = render_report(report, ReportFormat.CSV).splitlines()[1:4]
         assert [row.split(",")[0] for row in csv_rows] == ["\\\\xff", "\\xff", "\\xe0"]
 
+    def test_report_rebuilt_from_its_rows_is_equal(self, fixture_corpus, fixture_patterns):
+        report = run_benchmark(fixture_corpus, fixture_patterns)
+        rebuilt = BenchReport(report.rows, report.source_name, report.corpus_length, report.mode)
+        assert rebuilt == report
+
     def test_duplicates_flagged(self):
         report = run_benchmark(Corpus(b"abcabc", "tiny"), PatternSet((b"abc", b"abc")))
         assert [r.duplicate for r in report.rows] == [False, True]
@@ -241,7 +238,6 @@ class TestRenderReport:
     def test_json_empty_rows_document(self):
         report = BenchReport(
             rows=(),
-            totals=BenchTotals(dict.fromkeys(ALGORITHMS, 0), DerivedStats(None, None, None)),
             source_name="none",
             corpus_length=0,
             mode=Mode.ALL_MATCHES,

@@ -198,6 +198,26 @@ class TestTable:
 
 
 class TestBench:
+    def test_closed_stdout_exits_quietly(self, tmp_path):
+        # A report far larger than a pipe buffers. Unbuffered, one write of
+        # it would lose its tail without an error when the reader goes away.
+        corpus = tmp_path / "c.txt"
+        corpus.write_bytes(b"p1 p22 p333")
+        patterns = tmp_path / "p.txt"
+        patterns.write_text("".join(f"p{n}\n" for n in range(600)), encoding="utf-8")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "fbas", "bench", str(corpus), str(patterns), "--format", "json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**_module_env(), "PYTHONUNBUFFERED": "1"},
+        )
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert stderr == b""
+        assert code == 141
+
     def test_csv_has_12_rows_plus_total(self):
         code, out, _ = run_cli(["bench", CORPUS, PATTERNS, "--format", "csv"])
         assert code == 0

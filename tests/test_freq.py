@@ -1,5 +1,6 @@
 """Frequency tables, rarity scoring, and anchor selection."""
 import io
+import re
 
 import pytest
 from hypothesis import example, given
@@ -122,6 +123,10 @@ class TestSelectAnchor:
         assert sel.char == "u"
         assert sel.score == 16
 
+    def test_char_shows_a_byte_as_reports_do(self):
+        assert select_anchor("àà").char == "\\xc3"
+        assert select_anchor(b"\t").char == "\\x09"
+
     def test_empty_pattern_rejected(self):
         with pytest.raises(EmptyPattern):
             select_anchor(b"")
@@ -206,8 +211,8 @@ class TestTableFiles:
         for bad_escape in ("\\xg1", "\\x1", "\\x123"):
             with pytest.raises(ValueError):
                 load_table(io.StringIO(f"{bad_escape}\t1\n"))
-        for score in ("abc", ""):
-            with pytest.raises(ValueError, match=f"^line 2: score '{score}' is not an integer$"):
+        for score in ("abc", "", "\u0663", "1_0", "+7"):
+            with pytest.raises(ValueError, match=f"^line 2: score '{re.escape(score)}' is not an integer$"):
                 load_table(io.StringIO(f"z\t1\nx\t{score}\n"))
         latin1 = tmp_path / "latin1.tsv"
         latin1.write_bytes(b"\xe0\t3\n")
