@@ -136,7 +136,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         # Reads fail as IoFailure, so this is a failed write to stdout. Point
         # stdout at devnull so the flush at interpreter exit cannot fail again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         if isinstance(exc, BrokenPipeError):
             return 141
         print(f"error: cannot write output: {exc}", file=sys.stderr)

@@ -14,9 +14,11 @@ and changes only the verification order inside a window: the pattern's
 rarest byte (the anchor) is tested first, so a window whose anchor
 mismatches is rejected after exactly one comparison. Both Horspool
 matchers run the same walk and differ only in that order, so they
-examine the same sequence of windows by construction. The loops keep
-counts only: a window whose first test misses costs one comparison,
-so the misses need no bookkeeping beyond ``alignments``.
+examine the same sequence of windows by construction. The walk reads
+each window's last byte once, for the shift and, when the first test
+is at the last pattern index (always for bmh), for that test too. The
+loops keep counts only: a window whose first test misses costs one
+comparison, so the misses need no bookkeeping beyond ``alignments``.
 """
 from __future__ import annotations
 
@@ -207,39 +209,47 @@ def _horspool_walk(query: SearchQuery, anchor: AnchorSelection | None) -> Search
     a window whose anchor matches counts as an anchor hit. Testing stops
     at the first mismatch. A window whose first test misses costs its
     one comparison and is counted by ``alignments`` alone; only a hit
-    does more work. The shift after every window comes from the last
-    window byte, so the window sequence depends on the text and pattern
-    only, never on the anchor.
+    does more work.
+
+    A window is tracked by ``end``, the text index of its last byte, and
+    that byte is read once: the shift needs it, and when the first test
+    is at pattern index m - 1 (always for bmh, and for fbas when the
+    anchor is the last byte) it is the first test too. The rest of the
+    order is precomputed as (offset back from ``end``, pattern byte)
+    pairs. The shift after every window comes from the last window byte,
+    so the window sequence depends on the text and pattern only, never
+    on the anchor.
     """
     text, pat = query.text, query.pattern
-    m = len(pat)
-    limit = len(text) - m
+    n, m = len(text), len(pat)
+    last = m - 1
     first_only = query.mode is Mode.FIRST_MATCH
     shifts = build_shift_table(pat)
     if anchor is not None:
-        first = anchor.index
-        rest = [i for i in range(m) if i != first]
+        order = [anchor.index] + [i for i in range(m) if i != anchor.index]
     else:
-        first, rest = m - 1, range(m - 2, -1, -1)
-    first_byte = pat[first]
-    last = m - 1
+        order = range(last, -1, -1)
+    back = last - order[0]  # 0 when the first test reads the shift byte
+    first_byte = pat[order[0]]
+    checks = [(last - i, pat[i]) for i in order[1:]]
     positions: list[int] = []
     alignments = hits = extra = 0
 
-    pos = 0
-    while pos <= limit:
+    end = last
+    while end < n:
+        c = text[end]
         alignments += 1
-        if text[pos + first] == first_byte:
+        if (text[end - back] if back else c) == first_byte:
             hits += 1
-            for i in rest:
+            for offset, byte in checks:
                 extra += 1
-                if text[pos + i] != pat[i]:
+                if text[end - offset] != byte:
                     break
             else:
-                positions.append(pos)
+                positions.append(end - last)
                 if first_only:
                     break
-        pos += shifts[text[pos + last]]
+        end += shifts[c]
 
     return SearchOutcome(
         positions=positions,

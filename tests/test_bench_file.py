@@ -1,10 +1,10 @@
-"""The committed BENCH_5.json: its count part must match the matchers.
+"""Every committed BENCH_<n>.json: its count part must match the matchers.
 
 Comparison and alignment counts are deterministic, so the counts recorded
 for data/italian_sample.txt repeated 46 times (the paper's corpus scale)
 are re-run here for every pattern of data/patterns12.txt and all four
-matchers, in ALL_MATCHES mode. Any drift fails. The file's timings are
-reported, not checked.
+matchers, in ALL_MATCHES mode, and compared with the count part of each
+file. Any drift fails. The files' timings are reported, not checked.
 """
 import hashlib
 import json
@@ -13,7 +13,7 @@ from pathlib import Path
 from fbas import ALGORITHMS, Mode, SearchQuery, bmh_search, fbas_search, kmp_search, naive_search
 
 ROOT = Path(__file__).resolve().parents[1]
-BENCH_FILE = ROOT / "BENCH_5.json"
+BENCH_FILES = sorted(ROOT.glob("BENCH_*.json"))
 REPEATS = 46
 MATCHERS = dict(zip(ALGORITHMS, (naive_search, kmp_search, bmh_search, fbas_search)))
 
@@ -35,11 +35,14 @@ def count_part(corpus: bytes, patterns: list[bytes]) -> dict:
 
 
 def test_counts_match_committed_file(fixture_corpus, fixture_patterns):
-    recorded = json.loads(BENCH_FILE.read_text())
+    assert "BENCH_5.json" in [path.name for path in BENCH_FILES]
     corpus = fixture_corpus.data * REPEATS
-    assert hashlib.sha256(corpus).hexdigest() == recorded["environment"]["corpus_sha256"]
-
+    sha256 = hashlib.sha256(corpus).hexdigest()
     counts = count_part(corpus, list(fixture_patterns.patterns))
-    assert counts == recorded["counts"]
     totals = {algo: sum(row[algo]["comparisons"] for row in counts.values()) for algo in ALGORITHMS}
     assert totals == PAPER_SCALE_TOTALS
+
+    for bench_file in BENCH_FILES:
+        recorded = json.loads(bench_file.read_text())
+        assert sha256 == recorded["environment"]["corpus_sha256"], bench_file.name
+        assert counts == recorded["counts"], bench_file.name

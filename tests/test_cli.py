@@ -1,4 +1,6 @@
 """CLI subcommands: output contracts, exit codes, file handling."""
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -324,6 +326,24 @@ class TestUsage:
         assert proc.stderr.startswith(b"error: cannot write output: ")
         assert proc.stderr.count(b"\n") == 1
         assert b"Traceback" not in proc.stderr
+
+    @pytest.mark.skipif(
+        not (os.path.exists("/dev/full") and os.path.isdir("/proc/self/fd")),
+        reason="no /dev/full device or /proc/self/fd",
+    )
+    def test_failed_write_leaks_no_file_descriptor(self, monkeypatch):
+        def open_fds():
+            return len(os.listdir("/proc/self/fd"))
+
+        before = open_fds()
+        for _ in range(3):
+            with open("/dev/full", "w") as full:
+                monkeypatch.setattr(sys, "stdout", full)
+                with contextlib.redirect_stderr(io.StringIO()) as err:
+                    assert fbas.cli.main(["table"]) == 2
+                monkeypatch.undo()
+            assert err.getvalue().startswith("error: cannot write output: ")
+        assert open_fds() == before
 
     def test_missing_subcommand(self):
         code, _, _ = run_cli([])

@@ -32,16 +32,22 @@ ALL = Mode.ALL_MATCHES
 FIRST = Mode.FIRST_MATCH
 
 
+# Letter alphabets of 2, 4 and 26 bytes, and raw bytes: the ends and the
+# middle of the byte range, then all 256 values.
+ALPHABETS = (b"ab", b"abcd", b"abcdefghijklmnopqrstuvwxyz", b"\x00\x01\x7f\x80\xfe\xff",
+             bytes(range(256)))
+
+
 @st.composite
 def search_cases(draw):
-    sigma = draw(st.sampled_from(["ab", "abcd", "abcdefghijklmnopqrstuvwxyz"]))
-    text = draw(st.text(alphabet=sigma, max_size=64)).encode()
+    sigma = draw(st.sampled_from(ALPHABETS))
+    text = bytes(draw(st.lists(st.sampled_from(sigma), max_size=64)))
     if text and draw(st.booleans()):
         m = draw(st.integers(1, min(8, len(text))))
         start = draw(st.integers(0, len(text) - m))
         pattern = text[start:start + m]
     else:
-        pattern = draw(st.text(alphabet=sigma, min_size=1, max_size=8)).encode()
+        pattern = bytes(draw(st.lists(st.sampled_from(sigma), min_size=1, max_size=8)))
     return text, pattern
 
 
@@ -295,10 +301,28 @@ class TestSkipLoop:
             pytest.param(b"abz xbz abzz", b"abz", id="anchor-is-last-byte"),
             pytest.param(b"nel mezo, nel mezzo, pizza", b"nel mezzo", id="anchor-byte-twice"),
             pytest.param(b"xxxxxuoscura", b"oscura", id="shift-aligns-anchor"),
+            pytest.param(b"", b"ab", id="empty-text"),
+            pytest.param(b"xyzxy", b"abc", id="final-shift-lands-on-n"),
+            pytest.param(b"xxxxbbc", b"abc", id="last-window-hit-fails-verification"),
+            pytest.param(b"zebrzebzebra zebr", b"zebra", id="anchor-at-index-0"),
+            pytest.param(b"\x00\x80\xff\x00\xff\x80\xff", b"\xff\x80", id="raw-bytes"),
         ],
     )
     def test_edge_cases(self, text, pattern):
         self.assert_same_as_per_window(text, pattern)
+
+    def test_edge_cases_reach_their_boundaries(self):
+        # The cases above hit what their ids say: the walk ends with the
+        # window end exactly on n, the last window's first test hits but
+        # verification fails, and the anchor sits m - 1 bytes before the end.
+        text, pattern = b"xyzxy", b"abc"
+        _, windows = per_window_horspool_walk(SearchQuery(text, pattern), None)
+        end = windows[-1][0] + len(pattern) - 1
+        assert end + build_shift_table(pattern)[text[end]] == len(text)
+        for anchor in (None, select_anchor(b"abc")):
+            outcome, windows = per_window_horspool_walk(SearchQuery(b"xxxxbbc", b"abc"), anchor)
+            assert windows[-1][0] == 4 and windows[-1][1] > 1 and not outcome.positions
+        assert select_anchor(b"zebra").index == 0
 
 
 class TestOutcomeInvariants:
