@@ -5,20 +5,19 @@ Boyer-Moore-Horspool, and the anchor-first Horspool variant (fbas).
 All of them operate on raw bytes, return 0-based byte offsets, and
 count every text-byte vs pattern-byte equality test made during the
 search phase. Preprocessing comparisons are not counted. The naive and
-KMP matchers let ``bytes.find`` skip to the next text byte equal to the
-pattern's first byte and count the skipped windows in bulk, so their
-counts are those of a per-window loop at a fraction of its time.
+KMP matchers leave the windows that fail on ``pat[0]`` to ``bytes.count``
+and ``bytes.find``, and count them in bulk, so their counts are those of
+a per-window loop at a fraction of its time.
 
 The fbas matcher keeps Horspool's bad-character shift rule untouched
 and changes only the verification order inside a window: the pattern's
 rarest byte (the anchor) is tested first, so a window whose anchor
 mismatches is rejected after exactly one comparison. Both Horspool
 matchers run the same walk and differ only in that order, so they
-examine the same sequence of windows by construction. The walk reads
-each window's last byte once, for the shift and, when the first test
-is at the last pattern index (always for bmh), for that test too. The
-loops keep counts only: a window whose first test misses costs one
-comparison, so the misses need no bookkeeping beyond ``alignments``.
+examine the same sequence of windows by construction. The walk tracks a
+window by the text index of its first-tested byte. The loops keep
+counts only: a window whose first test misses costs one comparison, so
+the misses need no bookkeeping beyond ``alignments``.
 """
 from __future__ import annotations
 
@@ -101,37 +100,48 @@ def naive_search(query: SearchQuery) -> SearchOutcome:
     """Check every window left to right; the correctness oracle for the rest.
 
     A window costs one comparison per byte of its common prefix with the
-    pattern, plus the mismatching one: ``min(lcp + 1, m)``. Windows whose
-    first byte is not ``pat[0]`` cost exactly one, so ``bytes.find``
-    skips them at C speed (the skip loop of Hume & Sunday, 1991) and they
-    are counted in bulk; only the candidates are verified in Python. The
-    counts are those of a per-window loop.
+    pattern, plus the mismatching one: ``min(lcp + 1, m)``. Summed over
+    the windows that is ``alignments + Σ lcp − matches``, and ``Σ lcp``
+    is the sum over k of the windows that start with ``pat[:k]``. While
+    ``pat[:k]`` has no border its occurrences cannot overlap, so
+    ``bytes.count`` counts those windows exactly at C speed (the skip
+    loop of Hume & Sunday, 1991, taken level by level). Past the last
+    such level, ``top``, only the windows that start with ``pat[:top]``
+    are verified in Python. The counts are those of a per-window loop.
     """
     text, pat = query.text, query.pattern
     n, m = len(text), len(pat)
     if n < m:
         return SearchOutcome()
-    first_only = query.mode is Mode.FIRST_MATCH
-    head, end = pat[:1], n - m + 1
+    last = n - m  # the last window examined: the first match, if any, in FIRST_MATCH
+    if query.mode is Mode.FIRST_MATCH and (first := text.find(pat)) >= 0:
+        last = first
+    fail = _failure_function(pat)
+    top = next((k for k in range(1, m) if fail[k]), m)  # pat[:k] is borderless for k <= top
     positions: list[int] = []
-    extra = 0  # comparisons beyond the first in candidate windows
+    lcp_sum = 0
 
-    pos = text.find(head, 0, end)
-    while pos >= 0:
-        k = 1
-        while k < m and text[pos + k] == pat[k]:
-            k += 1
-        if k == m:
-            extra += m - 1
-            positions.append(pos)
-            if first_only:
-                break
-        else:
-            extra += k
-        pos = text.find(head, pos + 1, end)
+    for k in range(1, top + 1):
+        windows = text.count(pat[:k], 0, last + k)
+        if not windows:
+            break
+        lcp_sum += windows
+    else:
+        head, stop = pat[:top], last + top
+        pos = text.find(head, 0, stop)
+        while pos >= 0:
+            k = top
+            while k < m and text[pos + k] == pat[k]:
+                k += 1
+            lcp_sum += k - top
+            if k == m:
+                positions.append(pos)
+            pos = text.find(head, pos + 1, stop)
 
-    alignments = positions[0] + 1 if first_only and positions else end
-    return SearchOutcome(positions=positions, comparisons=alignments + extra, alignments=alignments)
+    alignments = last + 1
+    return SearchOutcome(
+        positions=positions, comparisons=alignments + lcp_sum - len(positions), alignments=alignments
+    )
 
 
 def _failure_function(pat: bytes) -> list[int]:
@@ -154,13 +164,15 @@ def kmp_search(query: SearchQuery) -> SearchOutcome:
     Only search-phase comparisons are counted; building the failure
     function is preprocessing. An alignment here is a distinct value of
     the implicit window start (text index minus pattern index) at which
-    at least one comparison was made. The start only moves forward, so
-    alignments are counted where it moves: after a mismatch at a pattern
-    index above 0, after a full match with text left, and on a skip. After
-    a mismatch against ``pat[0]`` the scan restarts at the next
-    ``pat[0]`` found by ``bytes.find``; each text byte skipped on the
-    way counts as the one comparison and the one alignment the per-byte
-    loop would have spent on it.
+    at least one comparison was made. Whenever the state falls to 0, the
+    scan goes on at the next ``pat[0]`` found by ``bytes.find``: each text
+    byte skipped on the way counts as the one comparison and the one
+    alignment the per-byte loop would have spent on it, and the byte
+    found as one matching comparison at a new alignment, after which the
+    state is 1. Above state 0 a window start moves, and an alignment is
+    counted, after a mismatch or a full match that leaves a state above 0.
+    On text that keeps falling back to state 0 after one byte, such as
+    ``ab`` in a run of ``a``, this costs a ``find`` call per text byte.
     """
     text, pat = query.text, query.pattern
     n, m = len(text), len(pat)
@@ -170,34 +182,38 @@ def kmp_search(query: SearchQuery) -> SearchOutcome:
     fail = _failure_function(pat)
     head = pat[:1]
     positions: list[int] = []
-    comparisons, alignments = 0, 1
+    scanned = misses = moves = 0
 
     i = j = 0
     while i < n:
-        comparisons += 1
-        if text[i] == pat[j]:
+        if j == 0:
+            k = text.find(head, i)
+            if k < 0:
+                scanned += n - i
+                i = n
+                break
+            scanned += k - i + 1
+            i, j = k + 1, 1
+        elif text[i] == pat[j]:
             i += 1
             j += 1
-            if j == m:
-                positions.append(i - m)
-                if first_only:
-                    break
-                j = fail[j - 1]
-                if i < n:
-                    alignments += 1
-        elif j > 0:
-            j = fail[j - 1]
-            alignments += 1
         else:
-            k = text.find(head, i + 1)
-            if k < 0:
-                comparisons += n - i - 1
-                alignments += n - i - 1
+            misses += 1
+            j = fail[j - 1]
+            if j:
+                moves += 1
+            continue
+        if j == m:
+            positions.append(i - m)
+            if first_only:
                 break
-            comparisons += k - i - 1
-            alignments += k - i
-            i = k
+            j = fail[j - 1]
+            if j and i < n:
+                moves += 1
 
+    # Each text byte read at state 0 or matched at a state above 0 moved
+    # i on by one; the misses at a state above 0 did not.
+    comparisons, alignments = i + misses, scanned + moves
     return SearchOutcome(positions=positions, comparisons=comparisons, alignments=alignments)
 
 
@@ -211,14 +227,14 @@ def _horspool_walk(query: SearchQuery, anchor: AnchorSelection | None) -> Search
     one comparison and is counted by ``alignments`` alone; only a hit
     does more work.
 
-    A window is tracked by ``end``, the text index of its last byte, and
-    that byte is read once: the shift needs it, and when the first test
-    is at pattern index m - 1 (always for bmh, and for fbas when the
-    anchor is the last byte) it is the first test too. The rest of the
-    order is precomputed as (offset back from ``end``, pattern byte)
-    pairs. The shift after every window comes from the last window byte,
-    so the window sequence depends on the text and pattern only, never
-    on the anchor.
+    A window is tracked by ``a``, the text index of its first-tested
+    byte, so the first test reads ``text[a]`` and the rest of the order
+    is precomputed as (offset from ``a``, pattern byte) pairs. The shift
+    byte, the window's last, is ``back`` bytes after ``a``; it is read
+    through a zero-copy view of the text that starts ``back`` bytes in,
+    so no window adds ``back``. The shift after every window comes from
+    that byte, so the window sequence depends on the text and pattern
+    only, never on the anchor.
     """
     text, pat = query.text, query.pattern
     n, m = len(text), len(pat)
@@ -229,27 +245,28 @@ def _horspool_walk(query: SearchQuery, anchor: AnchorSelection | None) -> Search
         order = [anchor.index] + [i for i in range(m) if i != anchor.index]
     else:
         order = range(last, -1, -1)
-    back = last - order[0]  # 0 when the first test reads the shift byte
-    first_byte = pat[order[0]]
-    checks = [(last - i, pat[i]) for i in order[1:]]
+    first = order[0]
+    back = last - first  # from the first-tested byte to the shift byte
+    first_byte = pat[first]
+    checks = [(i - first, pat[i]) for i in order[1:]]
+    shift_bytes = memoryview(text)[back:] if back else text  # shift_bytes[a] is text[a + back]
     positions: list[int] = []
     alignments = hits = extra = 0
 
-    end = last
-    while end < n:
-        c = text[end]
+    a, stop = first, n - back
+    while a < stop:
         alignments += 1
-        if (text[end - back] if back else c) == first_byte:
+        if text[a] == first_byte:
             hits += 1
             for offset, byte in checks:
                 extra += 1
-                if text[end - offset] != byte:
+                if text[a + offset] != byte:
                     break
             else:
-                positions.append(end - last)
+                positions.append(a - first)
                 if first_only:
                     break
-        end += shifts[c]
+        a += shifts[shift_bytes[a]]
 
     return SearchOutcome(
         positions=positions,

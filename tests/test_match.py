@@ -21,6 +21,7 @@ from fbas import (
     search,
     select_anchor,
 )
+from fbas.match import _failure_function
 from helpers import (
     oracle_positions,
     per_window_horspool_walk,
@@ -49,6 +50,36 @@ def search_cases(draw):
     else:
         pattern = bytes(draw(st.lists(st.sampled_from(sigma), min_size=1, max_size=8)))
     return text, pattern
+
+
+@st.composite
+def periodic_cases(draw):
+    """A text and a pattern that repeat one 1-3 byte word, each with an
+    optional odd byte: long borders, overlapping matches and KMP states
+    that fall back again and again."""
+    word = bytes(draw(st.lists(st.sampled_from(b"ab"), min_size=1, max_size=3)))
+    text = word * draw(st.integers(0, 24))
+    start = draw(st.integers(0, len(word) - 1))
+    pattern = (word * 5)[start:start + draw(st.integers(1, 12))]
+
+    def with_odd_byte(data):
+        if not data or not draw(st.booleans()):
+            return data
+        i = draw(st.integers(0, len(data) - 1))
+        return data[:i] + draw(st.sampled_from((b"a", b"b", b"c"))) + data[i + 1:]
+
+    return with_odd_byte(text), with_odd_byte(pattern)
+
+
+def kmp_states(text, pattern):
+    """The KMP automaton's state after each text byte."""
+    fail, j, states = _failure_function(pattern), 0, []
+    for c in text:
+        while j and (j == len(pattern) or c != pattern[j]):
+            j = fail[j - 1]
+        j += c == pattern[j]
+        states.append(j)
+    return states
 
 
 def bmh_trace(query):
@@ -285,6 +316,16 @@ class TestSkipLoop:
     def test_counts_equal_per_window_loops(self, case):
         self.assert_same_as_per_window(*case)
 
+    @given(periodic_cases())
+    @settings(max_examples=300)
+    def test_periodic_counts_equal_per_window_loops(self, case):
+        self.assert_same_as_per_window(*case)
+
+    def test_real_text_counts_equal_per_window_loops(self, fixture_corpus, fixture_patterns):
+        # Italian text has long shared prefixes that short random cases lack.
+        for pattern in fixture_patterns.patterns:
+            self.assert_same_as_per_window(fixture_corpus.data, pattern)
+
     @pytest.mark.parametrize(
         "text,pattern",
         [
@@ -306,6 +347,11 @@ class TestSkipLoop:
             pytest.param(b"xxxxbbc", b"abc", id="last-window-hit-fails-verification"),
             pytest.param(b"zebrzebzebra zebr", b"zebra", id="anchor-at-index-0"),
             pytest.param(b"\x00\x80\xff\x00\xff\x80\xff", b"\xff\x80", id="raw-bytes"),
+            pytest.param(b"xxab", b"abc", id="prefix-after-last-window"),
+            pytest.param(b"aabaabaab", b"aab", id="bordered-prefix"),
+            pytest.param(b"abababac", b"abac", id="first-match-in-last-window"),
+            pytest.param(b"xaab", b"ac", id="kmp-state-0-on-last-byte"),
+            pytest.param(b"zebra-zebra", b"zebra", id="anchor-at-0-reads-last-byte"),
         ],
     )
     def test_edge_cases(self, text, pattern):
@@ -323,6 +369,20 @@ class TestSkipLoop:
             outcome, windows = per_window_horspool_walk(SearchQuery(b"xxxxbbc", b"abc"), anchor)
             assert windows[-1][0] == 4 and windows[-1][1] > 1 and not outcome.positions
         assert select_anchor(b"zebra").index == 0
+        # A prefix of the pattern occurs only past the last window.
+        assert b"xxab".find(b"ab") > len(b"xxab") - len(b"abc")
+        # A proper prefix of the pattern is bordered ("aa").
+        assert _failure_function(b"aab")[1] == 1
+        # The only match is in the last window.
+        assert oracle_positions(b"abababac", b"abac") == [len(b"abababac") - len(b"abac")]
+        # KMP's state falls back from above 0 to 0 on the last text byte.
+        states = kmp_states(b"xaab", b"ac")
+        assert states[-2] > 0 and states[-1] == 0
+        # The anchor is at index 0 and the last window ends on the last text byte.
+        text, pattern = b"zebra-zebra", b"zebra"
+        anchor = select_anchor(pattern)
+        _, windows = per_window_horspool_walk(SearchQuery(text, pattern), anchor)
+        assert anchor.index == 0 and windows[-1][0] == len(text) - len(pattern)
 
 
 class TestOutcomeInvariants:
