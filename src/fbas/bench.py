@@ -12,7 +12,7 @@ import csv
 import enum
 import io
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from ._bytes import as_bytes, read_source
 from .errors import EmptyCorpus, EmptyPattern, MatcherDisagreement
@@ -287,11 +287,11 @@ def _render_json(report: BenchReport) -> str:
                     "char": r.anchor.char,
                     "score": r.anchor.score,
                 },
-                **asdict(r.stats),
+                **vars(r.stats),
             }
             for r in report.rows
         ],
-        "totals": {**report.totals.counts, **asdict(report.totals.stats)},
+        "totals": {**report.totals.counts, **vars(report.totals.stats)},
         # Per-pattern series for external plotting of improvements and speedups.
         "series": {
             "patterns": [r.label for r in report.rows],

@@ -5,9 +5,10 @@ Boyer-Moore-Horspool, and the anchor-first Horspool variant (fbas).
 All of them operate on raw bytes, return 0-based byte offsets, and
 count every text-byte vs pattern-byte equality test made during the
 search phase. Preprocessing comparisons are not counted. The naive and
-KMP matchers leave the windows that fail on ``pat[0]`` to ``bytes.count``
-and ``bytes.find``, and count them in bulk, so their counts are those of
-a per-window loop at a fraction of its time.
+KMP matchers run Python only from the occurrences, found by
+``bytes.find``, of the pattern's longest borderless prefix, and count
+the rest of the text in bulk with ``bytes.count``, so their counts are
+those of a per-window loop at a fraction of its time.
 
 The fbas matcher keeps Horspool's bad-character shift rule untouched
 and changes only the verification order inside a window: the pattern's
@@ -116,17 +117,12 @@ def naive_search(query: SearchQuery) -> SearchOutcome:
     last = n - m  # the last window examined: the first match, if any, in FIRST_MATCH
     if query.mode is Mode.FIRST_MATCH and (first := text.find(pat)) >= 0:
         last = first
-    fail = _failure_function(pat)
-    top = next((k for k in range(1, m) if fail[k]), m)  # pat[:k] is borderless for k <= top
+    top = _borderless_top(_failure_function(pat))
     positions: list[int] = []
-    lcp_sum = 0
+    levels = _prefix_counts(text, [pat[:k] for k in range(1, top + 1)], 0, last)
+    lcp_sum = sum(levels)
 
-    for k in range(1, top + 1):
-        windows = text.count(pat[:k], 0, last + k)
-        if not windows:
-            break
-        lcp_sum += windows
-    else:
+    if len(levels) == top:
         head, stop = pat[:top], last + top
         pos = text.find(head, 0, stop)
         while pos >= 0:
@@ -158,21 +154,47 @@ def _failure_function(pat: bytes) -> list[int]:
     return fail
 
 
+def _borderless_top(fail: list[int]) -> int:
+    """The largest ``top`` such that no ``pat[:k]`` with k <= top has a
+    border; ``pat[0]`` then does not recur in ``pat[1:top]``."""
+    return next((k for k in range(1, len(fail)) if fail[k]), len(fail))
+
+
+def _prefix_counts(text: bytes, prefixes: list[bytes], start: int, last: int) -> list[int]:
+    """How many windows starting in ``[start, last]`` begin with each of
+    ``prefixes`` (``pat[:1]``, ``pat[:2]``, ...), up to the first that
+    none begins with. The prefixes are borderless, so their occurrences
+    cannot overlap and ``bytes.count`` finds every one.
+    """
+    counts = []
+    for k, prefix in enumerate(prefixes, 1):
+        windows = text.count(prefix, start, last + k)
+        if not windows:
+            break
+        counts.append(windows)
+    return counts
+
+
 def kmp_search(query: SearchQuery) -> SearchOutcome:
     """Knuth-Morris-Pratt with the classic failure function.
 
     Only search-phase comparisons are counted; building the failure
     function is preprocessing. An alignment here is a distinct value of
     the implicit window start (text index minus pattern index) at which
-    at least one comparison was made. Whenever the state falls to 0, the
-    scan goes on at the next ``pat[0]`` found by ``bytes.find``: each text
-    byte skipped on the way counts as the one comparison and the one
-    alignment the per-byte loop would have spent on it, and the byte
-    found as one matching comparison at a new alignment, after which the
-    state is 1. Above state 0 a window start moves, and an alignment is
-    counted, after a mismatch or a full match that leaves a state above 0.
-    On text that keeps falling back to state 0 after one byte, such as
-    ``ab`` in a run of ``a``, this costs a ``find`` call per text byte.
+    at least one comparison was made. Above state 0 a window start
+    moves, and an alignment is counted, after a mismatch or a full match
+    that leaves a state above 0.
+
+    Whenever the state falls to 0, the scan goes on at the next
+    ``pat[:top]``, the longest borderless prefix (as in ``naive_search``),
+    found by ``bytes.find``, in state ``top`` just past it. The stretch
+    skipped on the way is charged in bulk. As ``pat[0]`` does not recur
+    in ``pat[1:top]``, each ``pat[0]`` in the stretch starts a partial
+    match that fails inside it, at one miss (unless the text ends
+    first), and no two partial matches overlap. So ``bytes.count`` of
+    ``pat[:l]`` for l >= 2 gives the bytes matched above state 0, and
+    every other byte of the stretch is one comparison at a new alignment,
+    read at state 0. The counts are those of a per-byte loop.
     """
     text, pat = query.text, query.pattern
     n, m = len(text), len(pat)
@@ -180,7 +202,9 @@ def kmp_search(query: SearchQuery) -> SearchOutcome:
         return SearchOutcome()
     first_only = query.mode is Mode.FIRST_MATCH
     fail = _failure_function(pat)
-    head = pat[:1]
+    top = _borderless_top(fail)
+    head = pat[:top]
+    partials = [pat[:k] for k in range(1, top)]  # all a stretch can hold of the pattern
     positions: list[int] = []
     scanned = misses = moves = 0
 
@@ -188,12 +212,18 @@ def kmp_search(query: SearchQuery) -> SearchOutcome:
     while i < n:
         if j == 0:
             k = text.find(head, i)
+            end = n if k < 0 else k
+            scanned += end - i
+            if levels := _prefix_counts(text, partials, i, end - 1):
+                misses += levels[0]
+                scanned -= sum(levels) - levels[0]
+                if k < 0 and pat.startswith(text[text.rfind(pat[0], i):]):
+                    misses -= 1  # the text ends inside the last partial match
             if k < 0:
-                scanned += n - i
                 i = n
                 break
-            scanned += k - i + 1
-            i, j = k + 1, 1
+            scanned += 1  # the pat[0] at k, read at state 0
+            i, j = k + top, top
         elif text[i] == pat[j]:
             i += 1
             j += 1

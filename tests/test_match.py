@@ -21,7 +21,7 @@ from fbas import (
     search,
     select_anchor,
 )
-from fbas.match import _failure_function
+from fbas.match import _borderless_top, _failure_function
 from helpers import (
     oracle_positions,
     per_window_horspool_walk,
@@ -69,6 +69,19 @@ def periodic_cases(draw):
         return data[:i] + draw(st.sampled_from((b"a", b"b", b"c"))) + data[i + 1:]
 
     return with_odd_byte(text), with_odd_byte(pattern)
+
+
+@st.composite
+def prefix_dense_cases(draw):
+    """A pattern and a text strung together from the pattern's prefixes
+    and stray bytes: dense in ``pat[0]``, with partial matches of every
+    length, back to back or cut off by the end of the text."""
+    pattern = bytes(draw(st.lists(st.sampled_from(b"abc"), min_size=1, max_size=8)))
+    pieces = st.one_of(
+        st.integers(1, len(pattern)).map(lambda k: pattern[:k]),
+        st.sampled_from((b"a", b"b", b"c", b"x")),
+    )
+    return b"".join(draw(st.lists(pieces, max_size=24))), pattern
 
 
 def kmp_states(text, pattern):
@@ -321,6 +334,11 @@ class TestSkipLoop:
     def test_periodic_counts_equal_per_window_loops(self, case):
         self.assert_same_as_per_window(*case)
 
+    @given(prefix_dense_cases())
+    @settings(max_examples=300)
+    def test_prefix_dense_counts_equal_per_window_loops(self, case):
+        self.assert_same_as_per_window(*case)
+
     def test_real_text_counts_equal_per_window_loops(self, fixture_corpus, fixture_patterns):
         # Italian text has long shared prefixes that short random cases lack.
         for pattern in fixture_patterns.patterns:
@@ -352,6 +370,12 @@ class TestSkipLoop:
             pytest.param(b"abababac", b"abac", id="first-match-in-last-window"),
             pytest.param(b"xaab", b"ac", id="kmp-state-0-on-last-byte"),
             pytest.param(b"zebra-zebra", b"zebra", id="anchor-at-0-reads-last-byte"),
+            pytest.param(b"xab abxab", b"abc", id="text-ends-in-partial-match"),
+            pytest.param(b"xaxabxyzabc", b"abcab", id="borderless-prefix-ends-at-n"),
+            pytest.param(b"abaabaaabx", b"aab", id="top-is-1"),
+            pytest.param(b"xabcabcabdabcabx", b"abcabd", id="bordered-excursion-takes-pat0"),
+            pytest.param(b"ab abc abx abcab abcab", b"abcab", id="first-match-in-later-stretch"),
+            pytest.param(b"a" * 20000, b"ab", id="state-1-at-every-byte"),
         ],
     )
     def test_edge_cases(self, text, pattern):
@@ -383,6 +407,26 @@ class TestSkipLoop:
         anchor = select_anchor(pattern)
         _, windows = per_window_horspool_walk(SearchQuery(text, pattern), anchor)
         assert anchor.index == 0 and windows[-1][0] == len(text) - len(pattern)
+        # KMP's stretches: the text ends inside a partial match that no
+        # occurrence of the borderless prefix pat[:top] follows.
+        top = _borderless_top(_failure_function(b"abc"))
+        assert b"xab abxab".find(b"abc"[:top]) < 0 and kmp_states(b"xab abxab", b"abc")[-1] == 2
+        # pat[:top] ends on the last text byte, with top < m.
+        text, pattern = b"xaxabxyzabc", b"abcab"
+        top = _borderless_top(_failure_function(pattern))
+        assert top < len(pattern) and text.find(pattern[:top]) == len(text) - top
+        assert _borderless_top(_failure_function(b"aab")) == 1
+        # A bordered excursion above top reads a later pat[0] at a state above 0.
+        text, pattern = b"xabcabcabdabcabx", b"abcabd"
+        states = kmp_states(text, pattern)
+        assert any(text[p] == pattern[0] and states[p] > 1 for p in range(len(text)))
+        # The first match follows a stretch that ends at pat[:top] and a failed excursion.
+        text, pattern = b"ab abc abx abcab abcab", b"abcab"
+        top = _borderless_top(_failure_function(pattern))
+        assert 0 < text.find(pattern[:top]) < text.find(pattern)
+        assert 0 in kmp_states(text, pattern)[text.find(pattern[:top]):text.find(pattern)]
+        # KMP stays in state 1 from the first byte to the last.
+        assert set(kmp_states(b"a" * 20000, b"ab")) == {1}
 
 
 class TestOutcomeInvariants:
