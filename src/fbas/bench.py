@@ -23,10 +23,13 @@ from .metrics import DerivedStats, aggregate_stats, derive_stats, present
 
 @dataclass(frozen=True)
 class Corpus:
-    """Raw corpus bytes plus provenance."""
+    """Raw corpus bytes plus provenance; a ``str`` is coerced to UTF-8."""
 
     data: bytes
     source_name: str = "<memory>"
+
+    def __post_init__(self):
+        object.__setattr__(self, "data", as_bytes(self.data))
 
     @property
     def length(self) -> int:
@@ -116,7 +119,8 @@ class BenchTotals:
 
 @dataclass(frozen=True)
 class BenchReport:
-    """The rows of one run over a corpus; ``totals`` is derived from them."""
+    """The rows of one run over a corpus; ``totals`` is derived from them.
+    A mode given by its value is coerced to its ``Mode``."""
 
     rows: tuple[BenchRow, ...]
     source_name: str
@@ -125,6 +129,7 @@ class BenchReport:
     totals: BenchTotals = field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "mode", Mode(self.mode))
         counts = {algo: sum(r.counts[algo] for r in self.rows) for algo in ALGORITHMS}
         stats = aggregate_stats([r.stats for r in self.rows], tuple(counts.values()))
         object.__setattr__(self, "totals", BenchTotals(counts, stats))
@@ -149,7 +154,7 @@ def run_benchmark(
     corpus: Corpus,
     patterns: PatternSet,
     table: FrequencyTable | None = None,
-    mode: Mode = Mode.ALL_MATCHES,
+    mode: Mode | str = Mode.ALL_MATCHES,
 ) -> BenchReport:
     """Run all four matchers for every pattern over the corpus bytes.
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import io
 import sys
+from collections.abc import Sequence
 
 from fbas.cli import main
 from fbas.freq import AnchorSelection
@@ -115,26 +116,29 @@ def per_window_kmp_search(query: SearchQuery) -> SearchOutcome:
 
 
 def per_window_horspool_walk(
-    query: SearchQuery, anchor: AnchorSelection | None
+    query: SearchQuery, anchor: AnchorSelection | None = None, order: Sequence[int] | None = None
 ) -> tuple[SearchOutcome, list[tuple[int, int, bool]]]:
-    """Horspool's walk with a per-window trace: ``bmh_search`` when
-    ``anchor`` is None, ``fbas_search`` otherwise.
+    """Horspool's walk with a per-window trace, testing each window's
+    pattern indices in ``order``: ``bmh_search`` when neither ``anchor``
+    nor ``order`` is given, ``fbas_search`` with ``anchor``, and the
+    package's walk with ``order`` alone.
 
-    Returns the outcome and one ``(position, cost, anchor_hit)`` tuple
-    per examined window, in order; the costs sum to ``comparisons``, and
-    anchor hits are always False without an anchor.
+    Returns the outcome and one ``(position, cost, first_test_hit)``
+    tuple per examined window, in order; the costs sum to
+    ``comparisons``. First-test hits are counted in ``anchor_hits`` and
+    flagged in the trace unless the order is bmh's default.
     """
     text, pat = query.text, query.pattern
     m = len(pat)
     limit = len(text) - m
     first_only = query.mode is Mode.FIRST_MATCH
     shifts = build_shift_table(pat)
-    anchored = anchor is not None
-    if anchored:
-        first = anchor.index
-        rest = [i for i in range(m) if i != first]
-    else:
-        first, rest = m - 1, range(m - 2, -1, -1)
+    counts_hits = anchor is not None or order is not None
+    if anchor is not None:
+        order = [anchor.index] + [i for i in range(m) if i != anchor.index]
+    elif order is None:
+        order = range(m - 1, -1, -1)
+    first, rest = order[0], order[1:]
     first_byte = pat[first]
     last = m - 1
     positions: list[int] = []
@@ -155,7 +159,7 @@ def per_window_horspool_walk(
             else:
                 positions.append(pos)
             extra += cost - 1
-        windows.append((pos, cost, hit and anchored))
+        windows.append((pos, cost, hit and counts_hits))
         if first_only and positions:
             break
         pos += shifts[text[pos + last]]
@@ -164,7 +168,7 @@ def per_window_horspool_walk(
         positions=positions,
         comparisons=alignments + extra,
         alignments=alignments,
-        anchor_hits=hits if anchored else 0,
+        anchor_hits=hits if counts_hits else 0,
         anchor=anchor,
     )
     return outcome, windows

@@ -108,6 +108,26 @@ class TestRunBenchmark:
         assert report.totals.counts["naive"] == 6
         assert (report.source_name, report.corpus_length) == ("tiny", 4)
 
+    def test_str_corpus_is_counted_in_utf8_bytes(self):
+        corpus = Corpus("città città")
+        assert corpus.data == "città città".encode() and corpus.length == 13
+        report = run_benchmark(corpus, PatternSet((b"t\xc3\xa0",)))
+        assert report.corpus_length == 13
+        assert report.rows[0].occurrences == 2
+        assert "(13 bytes)" in render_report(report)
+
+    def test_mode_given_by_value(self):
+        corpus, patterns = Corpus(b"abab"), PatternSet((b"ab",))
+        report = run_benchmark(corpus, patterns, mode="first")
+        assert report.mode is Mode.FIRST_MATCH
+        assert report.rows[0].occurrences == 1
+        assert "mode: first" in render_report(report)
+        assert json.loads(render_report(report, "json"))["mode"] == "first"
+        with pytest.raises(ValueError):
+            run_benchmark(corpus, patterns, mode="every")
+        with pytest.raises(ValueError):
+            BenchReport((), "tiny", 4, "every")
+
     def test_absent_anchor_means_unit_cost_per_window(self):
         # anchor byte 'z' never occurs, so every window costs one comparison
         corpus = Corpus(b"la vita nova", "tiny")

@@ -1,4 +1,6 @@
 """The four matchers: positions, counting semantics, and shift tables."""
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +23,7 @@ from fbas import (
     search,
     select_anchor,
 )
-from fbas.match import _borderless_top, _failure_function
+from fbas.match import _borderless_top, _failure_function, _horspool_walk
 from helpers import (
     oracle_positions,
     per_window_horspool_walk,
@@ -381,6 +383,20 @@ class TestSkipLoop:
     def test_edge_cases(self, text, pattern):
         self.assert_same_as_per_window(text, pattern)
 
+    def test_kmp_copies_no_text_at_its_end(self):
+        # The last stretch holds pat[0] far from the end of the text;
+        # telling whether the text ends inside a partial match copies
+        # nothing longer than the pattern.
+        query = SearchQuery(b"ax" + b"a" * 1_000_000, b"xy")
+        tracemalloc.start()
+        try:
+            outcome = kmp_search(query)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        assert (outcome.comparisons, outcome.alignments) == (len(query.text) + 1, len(query.text))
+
     def test_edge_cases_reach_their_boundaries(self):
         # The cases above hit what their ids say: the walk ends with the
         # window end exactly on n, the last window's first test hits but
@@ -427,6 +443,29 @@ class TestSkipLoop:
         assert 0 in kmp_states(text, pattern)[text.find(pattern[:top]):text.find(pattern)]
         # KMP stays in state 1 from the first byte to the last.
         assert set(kmp_states(b"a" * 20000, b"ab")) == {1}
+
+
+class TestWalkOrders:
+    """The Horspool walk takes any verification order as data: its counts
+    equal those of the per-window reference for that order, and it
+    visits bmh's windows whatever the order."""
+
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_any_order_equals_per_window_walk(self, data):
+        text, pattern = data.draw(search_cases())
+        order = data.draw(st.permutations(range(len(pattern))))
+        for mode in (ALL, FIRST):
+            query = SearchQuery(text, pattern, mode)
+            reference, windows = per_window_horspool_walk(query, order=order)
+            positions, comparisons, alignments, hits = _horspool_walk(query, order)
+            assert (positions, comparisons, alignments, hits) == (
+                reference.positions, reference.comparisons, reference.alignments,
+                reference.anchor_hits,
+            )
+            _, bmh_windows = per_window_horspool_walk(query)
+            assert [w[0] for w in windows] == [w[0] for w in bmh_windows]
+            assert alignments == bmh_search(query).alignments
 
 
 class TestOutcomeInvariants:
@@ -506,6 +545,18 @@ class TestSearchDispatch:
     def test_empty_pattern_rejected_at_query(self):
         with pytest.raises(EmptyPattern):
             SearchQuery("abc", "")
+
+    def test_mode_given_by_value(self):
+        query = SearchQuery(b"abab", b"ab", "first")
+        assert query.mode is FIRST
+        for algo in ("naive", "kmp", "bmh", "fbas"):
+            assert search(query, algorithm=algo).positions == [0]
+        assert SearchQuery(b"abab", b"ab", "all").mode is ALL
+
+    def test_unknown_mode_rejected_at_query(self):
+        for mode in ("every", "FIRST", None):
+            with pytest.raises(ValueError):
+                SearchQuery(b"abab", b"ab", mode)
 
 
 class TestEstimator:
