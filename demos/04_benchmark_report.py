@@ -32,9 +32,9 @@ for label, imp in zip(doc["series"]["patterns"], doc["series"]["improvement_pct"
     bar = "#" * round(imp * 4)
     print(f"  {label:14} {imp:6.2f}  {bar}")
 
-# 4. Counts are keyed by matcher name, in ALGORITHMS order.
-t = report.totals
-print(f"\ntotals: fbas made {t.counts['fbas']:,} comparisons vs bmh {t.counts['bmh']:,} "
-      f"({t.stats.improvement_pct:.2f}% fewer) and naive {t.counts['naive']:,} "
-      f"({t.stats.reduction_vs_naive_pct:.2f}% fewer on average per pattern)")
+# 4. The report's totals: counts keyed by matcher name, in ALGORITHMS order.
+counts, stats = report.counts, report.stats
+print(f"\ntotals: fbas made {counts['fbas']:,} comparisons vs bmh {counts['bmh']:,} "
+      f"({stats.improvement_pct:.2f}% fewer) and naive {counts['naive']:,} "
+      f"({stats.reduction_vs_naive_pct:.2f}% fewer on average per pattern)")
 print(f"corpus {report.source_name}: {report.corpus_length:,} bytes")

@@ -12,9 +12,7 @@ tabulates comparison counts across all four over user-supplied corpora.
 from .bench import (
     BenchReport,
     BenchRow,
-    BenchTotals,
     Corpus,
-    PatternSet,
     ReportFormat,
     load_corpus,
     load_patterns,
@@ -62,7 +60,6 @@ __all__ = [
     "AnchorSelection",
     "BenchReport",
     "BenchRow",
-    "BenchTotals",
     "ComparisonEstimate",
     "Corpus",
     "DerivedStats",
@@ -74,7 +71,6 @@ __all__ = [
     "IoFailure",
     "MatcherDisagreement",
     "Mode",
-    "PatternSet",
     "ReportFormat",
     "SearchOutcome",
     "SearchQuery",

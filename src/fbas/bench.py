@@ -1,10 +1,11 @@
 """Corpus loading, multi-matcher benchmark runs, and report rendering.
 
 A benchmark runs all four matchers over the same corpus bytes for each
-pattern, verifies that they agree on match positions, and tabulates
-comparison counts with derived statistics. Reports render as aligned
-text, Markdown, CSV, or JSON; the CSV and JSON forms carry values at
-full precision for external tooling.
+pattern of a sequence, verifies that they agree on match positions, and
+tabulates comparison counts with derived statistics. A report carries
+its totals in the same ``counts`` and ``stats`` fields as each of its
+rows. Reports render as aligned text, Markdown, CSV, or JSON; the CSV
+and JSON forms carry values at full precision for external tooling.
 """
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ import csv
 import enum
 import io
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from ._bytes import as_bytes, read_source
@@ -20,65 +22,48 @@ from .freq import AnchorSelection, FrequencyTable
 from .match import ALGORITHMS, Mode, SearchQuery, bmh_search, fbas_search, kmp_search, naive_search
 from .metrics import DerivedStats, aggregate_stats, derive_stats, present
 
+_UTF8_BOM = b"\xef\xbb\xbf"
+
 
 @dataclass(frozen=True)
 class Corpus:
-    """Raw corpus bytes plus provenance; a ``str`` is coerced to UTF-8."""
+    """Raw corpus bytes plus provenance; a ``str`` is coerced to UTF-8.
+    Raises EmptyCorpus when there are no bytes."""
 
     data: bytes
     source_name: str = "<memory>"
 
     def __post_init__(self):
-        object.__setattr__(self, "data", as_bytes(self.data))
+        data = as_bytes(self.data)
+        if not data:
+            raise EmptyCorpus(f"corpus {self.source_name} is empty")
+        object.__setattr__(self, "data", data)
 
     @property
     def length(self) -> int:
         return len(self.data)
 
 
-@dataclass(frozen=True)
-class PatternSet:
-    """An ordered list of non-empty byte patterns. Duplicates are allowed
-    and get flagged on their later occurrences in benchmark rows."""
-
-    patterns: tuple[bytes, ...]
-
-    def __post_init__(self):
-        coerced = tuple(as_bytes(p) for p in self.patterns)
-        for p in coerced:
-            if not p:
-                raise EmptyPattern("pattern sets cannot contain empty patterns")
-        object.__setattr__(self, "patterns", coerced)
-
-    def __len__(self) -> int:
-        return len(self.patterns)
-
-
 def load_corpus(source, lowercase: bool = False) -> Corpus:
     """Read corpus bytes from a path, '-' (stdin), or a binary stream,
-    named as ``read_source`` names it. Bytes are kept verbatim unless
-    ``lowercase`` is set, which folds ASCII letters only. Raises
-    IoFailure on unreadable sources and EmptyCorpus when nothing was read.
+    named as ``read_source`` names it. Bytes are kept verbatim, a
+    byte-order mark included, unless ``lowercase`` is set, which folds
+    ASCII letters only. Raises IoFailure on unreadable sources and
+    EmptyCorpus when nothing was read.
     """
     data, src_name = read_source(source, "corpus")
-    if not data:
-        raise EmptyCorpus(f"corpus {src_name} is empty")
     if lowercase:
         data = data.lower()
     return Corpus(data=data, source_name=src_name)
 
 
-def load_patterns(source) -> PatternSet:
+def load_patterns(source) -> tuple[bytes, ...]:
     """Read a pattern list: UTF-8, one pattern per line, taken verbatim
-    to end of line. Lines starting with '#' and blank lines are skipped."""
+    to end of line. One leading UTF-8 byte-order mark is dropped. Lines
+    starting with '#' and blank lines are skipped."""
     raw, _ = read_source(source, "patterns")
-    patterns = []
-    for line in raw.split(b"\n"):
-        line = line.rstrip(b"\r")
-        if not line or line.startswith(b"#"):
-            continue
-        patterns.append(line)
-    return PatternSet(tuple(patterns))
+    lines = (line.rstrip(b"\r") for line in raw.removeprefix(_UTF8_BOM).split(b"\n"))
+    return tuple(line for line in lines if line and not line.startswith(b"#"))
 
 
 @dataclass(frozen=True)
@@ -110,29 +95,25 @@ class BenchRow:
 
 
 @dataclass(frozen=True)
-class BenchTotals:
-    """Summed counts per matcher plus aggregate stats over all rows."""
-
-    counts: dict[str, int]
-    stats: DerivedStats
-
-
-@dataclass(frozen=True)
 class BenchReport:
-    """The rows of one run over a corpus; ``totals`` is derived from them.
-    A mode given by its value is coerced to its ``Mode``."""
+    """The rows of one run over a corpus. Like a row, the report has
+    ``counts``, the row sums in ``ALGORITHMS`` order, and ``stats``,
+    aggregated over the rows; both are derived. A mode given by its
+    value is coerced to its ``Mode``."""
 
     rows: tuple[BenchRow, ...]
     source_name: str
     corpus_length: int
     mode: Mode
-    totals: BenchTotals = field(init=False)
+    counts: dict[str, int] = field(init=False)
+    stats: DerivedStats = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "mode", Mode(self.mode))
         counts = {algo: sum(r.counts[algo] for r in self.rows) for algo in ALGORITHMS}
         stats = aggregate_stats([r.stats for r in self.rows], tuple(counts.values()))
-        object.__setattr__(self, "totals", BenchTotals(counts, stats))
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "stats", stats)
 
 
 class ReportFormat(enum.Enum):
@@ -152,25 +133,31 @@ def _first_difference(reference: list[int], other: list[int]) -> int:
 
 def run_benchmark(
     corpus: Corpus,
-    patterns: PatternSet,
+    patterns: Iterable[str | bytes],
     table: FrequencyTable | None = None,
     mode: Mode | str = Mode.ALL_MATCHES,
 ) -> BenchReport:
     """Run all four matchers for every pattern over the corpus bytes.
 
-    Position lists must agree across matchers for each pattern; any
-    disagreement raises MatcherDisagreement, since shifts never skip an
-    occurrence and all matchers implement the same match semantics.
+    ``patterns`` is any iterable of str or bytes patterns, in row order;
+    a single str or bytes pattern raises TypeError, and no pattern, or
+    an empty one, raises EmptyPattern. Duplicates are allowed and get
+    flagged on their later rows. Position lists must agree across
+    matchers for each pattern; any disagreement raises
+    MatcherDisagreement, since shifts never skip an occurrence and all
+    matchers implement the same match semantics.
     """
-    if corpus.length == 0:
-        raise EmptyCorpus("cannot benchmark an empty corpus")
-    if len(patterns) == 0:
+    if isinstance(patterns, (str, bytes, bytearray)):
+        raise TypeError(f"expected an iterable of patterns, got a single {type(patterns).__name__}")
+    patterns = tuple(patterns)
+    if not patterns:
         raise EmptyPattern("cannot benchmark an empty pattern set")
 
     rows: list[BenchRow] = []
     seen: set[bytes] = set()
-    for pat in patterns.patterns:
+    for pat in patterns:
         query = SearchQuery(corpus.data, pat, mode)
+        pat = query.pattern
         reference = naive_search(query)
         outcomes = {
             "naive": reference,
@@ -216,11 +203,11 @@ def _caption(report: BenchReport) -> str:
 
 def _table_cells(report: BenchReport) -> list[list[str]]:
     """One cell list per pattern row, then the Total row, built alike."""
-    rows = [(r.label, str(r.length), r.counts, r.stats) for r in report.rows]
-    rows.append(("Total", "--", report.totals.counts, report.totals.stats))
+    rows = [(r.label, str(r.length), r) for r in report.rows]
+    rows.append(("Total", "--", report))
     return [
-        [label, length, *(f"{c:,}" for c in counts.values()), present(stats.improvement_pct)]
-        for label, length, counts, stats in rows
+        [label, length, *(f"{c:,}" for c in r.counts.values()), present(r.stats.improvement_pct)]
+        for label, length, r in rows
     ]
 
 
@@ -268,10 +255,9 @@ def _render_csv(report: BenchReport) -> str:
             r.anchor.char,
             r.anchor.score,
         ])
-    t = report.totals
     writer.writerow([
-        "TOTAL", "", *t.counts.values(),
-        t.stats.improvement_pct, t.stats.speedup_vs_naive, "", "", "",
+        "TOTAL", "", *report.counts.values(),
+        report.stats.improvement_pct, report.stats.speedup_vs_naive, "", "", "",
     ])
     return out.getvalue()
 
@@ -296,7 +282,7 @@ def _render_json(report: BenchReport) -> str:
             }
             for r in report.rows
         ],
-        "totals": {**report.totals.counts, **vars(report.totals.stats)},
+        "totals": {**report.counts, **vars(report.stats)},
         # Per-pattern series for external plotting of improvements and speedups.
         "series": {
             "patterns": [r.label for r in report.rows],

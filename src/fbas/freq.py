@@ -159,18 +159,19 @@ _ESCAPED_KEY = re.compile(r"\\x([0-9a-fA-F]{2})")
 def load_table(source) -> FrequencyTable:
     """Load a custom table from a file path, '-' (stdin), or a stream.
 
-    Format: one entry per line as ``<key><TAB><score>``, UTF-8, scores
-    1..50 in ASCII digits. A key is one ASCII character or a byte
-    written as ``\\xNN`` (two hex digits). Non-ASCII characters are
-    rejected: a table scores single bytes, and the UTF-8 bytes of such a
-    character would never match it. Lines starting with '#' and blank
-    lines are ignored. Unlisted bytes default to 50. The table is named
-    after the base name of the source (``<stdin>`` for '-'). Raises
-    IoFailure when the source cannot be read.
+    Format: one entry per line as ``<key><TAB><score>``, UTF-8 (one
+    leading byte-order mark is dropped), scores 1..50 in ASCII digits.
+    A key is one ASCII character or a byte written as ``\\xNN`` (two
+    hex digits). Non-ASCII characters are rejected: a table scores
+    single bytes, and the UTF-8 bytes of such a character would never
+    match it. Lines starting with '#' and blank lines are ignored.
+    Unlisted bytes default to 50. The table is named after the base
+    name of the source (``<stdin>`` for '-'). Raises IoFailure when the
+    source cannot be read.
     """
     data, src_name = read_source(source, "frequency table")
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ValueError(f"frequency table {src_name} is not UTF-8: {exc}") from exc
 

@@ -353,8 +353,6 @@ def search(
 class ComparisonEstimate:
     """Expected per-window comparison cost for an anchor-first search."""
 
-    match_probability: float
-    pattern_length: int
     expected_comparisons: float
 
 
@@ -370,11 +368,7 @@ def expected_comparisons(match_probability: float, pattern_length: int) -> Compa
         raise InvalidProbability(f"match probability must be in [0, 1], got {match_probability}")
     if pattern_length < 1:
         raise EmptyPattern("pattern length must be at least 1")
-    return ComparisonEstimate(
-        match_probability=match_probability,
-        pattern_length=pattern_length,
-        expected_comparisons=1.0 + match_probability * (pattern_length - 1),
-    )
+    return ComparisonEstimate(1.0 + match_probability * (pattern_length - 1))
 
 
 def char_probability(text, c) -> float:

@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from fbas import Corpus, PatternSet, load_corpus, load_patterns
+from fbas import Corpus, load_corpus, load_patterns
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "data"
 
@@ -13,5 +13,5 @@ def fixture_corpus() -> Corpus:
 
 
 @pytest.fixture(scope="session")
-def fixture_patterns() -> PatternSet:
+def fixture_patterns() -> tuple[bytes, ...]:
     return load_patterns(DATA_DIR / "patterns12.txt")

@@ -14,7 +14,6 @@ import pytest
 from conftest import DATA_DIR
 from fbas import (
     Mode,
-    PatternSet,
     SearchQuery,
     aggregate_stats,
     bmh_search,
@@ -195,7 +194,7 @@ def test_criterion_08a_directional_gain_on_fixture(fixture_corpus, fixture_patte
     pattern byte, fbas must not exceed bmh comparison counts."""
     table = default_table()
     applicable = 0
-    for pattern in fixture_patterns.patterns:
+    for pattern in fixture_patterns:
         sel = select_anchor(pattern, table)
         p_anchor = char_probability(fixture_corpus.data, sel.character)
         p_last = char_probability(fixture_corpus.data, pattern[-1])
@@ -225,7 +224,7 @@ def test_criterion_08b_full_corpus_best_effort(fixture_patterns):
         corpus = load_corpus(path, lowercase=lowercase)
         report = run_benchmark(corpus, fixture_patterns)
         wins = sum(1 for r in report.rows if r.counts["fbas"] < r.counts["bmh"])
-        improvement = report.totals.stats.improvement_pct
+        improvement = report.stats.improvement_pct
         readings.append((lowercase, wins, improvement))
     ok = any(wins >= 10 and 3.0 <= imp <= 8.0 for _, wins, imp in readings)
     assert ok, readings

@@ -15,7 +15,6 @@ from fbas import (
     IoFailure,
     MatcherDisagreement,
     Mode,
-    PatternSet,
     ALGORITHMS,
     ReportFormat,
     SearchOutcome,
@@ -76,48 +75,65 @@ class TestLoadCorpus:
         with pytest.raises(IoFailure):
             load_corpus(tmp_path / "nope.txt")
 
+    def test_byte_order_mark_kept_verbatim(self, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_bytes(b"\xef\xbb\xbfluce")
+        assert load_corpus(path).data == b"\xef\xbb\xbfluce"
+
+    def test_empty_corpus_rejected_by_corpus(self):
+        for data in (b"", "", bytearray()):
+            with pytest.raises(EmptyCorpus, match="^corpus tiny is empty$"):
+                Corpus(data, "tiny")
+
 
 class TestLoadPatterns:
     def test_comments_and_blanks_skipped(self, tmp_path):
         path = tmp_path / "p.txt"
         path.write_text("# heading\n\nfoo\n# other\nbar\n", encoding="utf-8")
-        assert load_patterns(path).patterns == (b"foo", b"bar")
+        assert load_patterns(path) == (b"foo", b"bar")
 
     def test_spaces_taken_verbatim(self, tmp_path):
         path = tmp_path / "p.txt"
         path.write_text("selva oscura\nnel mezzo\n", encoding="utf-8")
-        assert load_patterns(path).patterns == (b"selva oscura", b"nel mezzo")
+        assert load_patterns(path) == (b"selva oscura", b"nel mezzo")
 
     def test_crlf_line_endings(self, tmp_path):
         path = tmp_path / "p.txt"
         path.write_bytes(b"foo\r\nbar\r\n")
-        assert load_patterns(path).patterns == (b"foo", b"bar")
+        assert load_patterns(path) == (b"foo", b"bar")
+
+    def test_leading_byte_order_mark_dropped(self, tmp_path):
+        path = tmp_path / "p.txt"
+        path.write_bytes(b"\xef\xbb\xbfluce\r\n\xef\xbb\xbfmezzo\n")
+        assert load_patterns(path) == (b"luce", b"\xef\xbb\xbfmezzo")
+        path.write_bytes(b"\xef\xbb\xbf# heading\nluce\n")
+        assert load_patterns(path) == (b"luce",)
 
     def test_empty_pattern_rejected_in_set(self):
         with pytest.raises(EmptyPattern):
-            PatternSet((b"ok", b""))
+            run_benchmark(Corpus(b"ok"), (b"ok", b""))
 
 
 class TestRunBenchmark:
     def test_tiny_corpus_row(self):
-        report = run_benchmark(Corpus(b"aaaa", "tiny"), PatternSet((b"aa",)))
+        report = run_benchmark(Corpus(b"aaaa", "tiny"), (b"aa",))
         row = report.rows[0]
         assert row.counts["naive"] == 6
         assert row.length == 2
         assert row.occurrences == 3
-        assert report.totals.counts["naive"] == 6
+        assert report.counts["naive"] == 6
         assert (report.source_name, report.corpus_length) == ("tiny", 4)
 
     def test_str_corpus_is_counted_in_utf8_bytes(self):
         corpus = Corpus("città città")
         assert corpus.data == "città città".encode() and corpus.length == 13
-        report = run_benchmark(corpus, PatternSet((b"t\xc3\xa0",)))
+        report = run_benchmark(corpus, (b"t\xc3\xa0",))
         assert report.corpus_length == 13
         assert report.rows[0].occurrences == 2
         assert "(13 bytes)" in render_report(report)
 
     def test_mode_given_by_value(self):
-        corpus, patterns = Corpus(b"abab"), PatternSet((b"ab",))
+        corpus, patterns = Corpus(b"abab"), (b"ab",)
         report = run_benchmark(corpus, patterns, mode="first")
         assert report.mode is Mode.FIRST_MATCH
         assert report.rows[0].occurrences == 1
@@ -136,13 +152,26 @@ class TestRunBenchmark:
 
     def test_empty_pattern_set_rejected(self, fixture_corpus):
         with pytest.raises(EmptyPattern):
-            run_benchmark(fixture_corpus, PatternSet(()))
+            run_benchmark(fixture_corpus, ())
+        with pytest.raises(EmptyPattern):
+            run_benchmark(fixture_corpus, iter(()))
+
+    def test_single_pattern_rejected(self):
+        for pattern in ("luce", b"luce", bytearray(b"luce")):
+            with pytest.raises(TypeError, match="iterable of patterns"):
+                run_benchmark(Corpus(b"la luce"), pattern)
+
+    def test_patterns_from_a_generator(self):
+        corpus = Corpus(b"abcabc", "tiny")
+        report = run_benchmark(corpus, (p for p in ("abc", b"bc")))
+        assert report == run_benchmark(corpus, [b"abc", b"bc"])
+        assert [r.pattern for r in report.rows] == [b"abc", b"bc"]
 
     def test_totals_are_row_sums(self, fixture_corpus, fixture_patterns):
         report = run_benchmark(fixture_corpus, fixture_patterns)
-        assert list(report.totals.counts) == list(ALGORITHMS)
+        assert list(report.counts) == list(ALGORITHMS)
         for algo in ALGORITHMS:
-            assert report.totals.counts[algo] == sum(r.counts[algo] for r in report.rows)
+            assert report.counts[algo] == sum(r.counts[algo] for r in report.rows)
 
     def test_stats_derived_once_per_row_plus_totals(self, fixture_corpus, fixture_patterns, monkeypatch):
         calls = []
@@ -167,7 +196,7 @@ class TestRunBenchmark:
 
     def test_labels_tell_a_backslash_from_an_escaped_byte(self):
         report = run_benchmark(Corpus(b"\\xff \xff \xe0\xa0", "tiny"),
-                               PatternSet((b"\\xff", b"\xff", b"\xe0")))
+                               (b"\\xff", b"\xff", b"\xe0"))
         assert [r.label for r in report.rows] == ["\\\\xff", "\\xff", "\\xe0"]
         csv_rows = render_report(report, ReportFormat.CSV).splitlines()[1:4]
         assert [row.split(",")[0] for row in csv_rows] == ["\\\\xff", "\\xff", "\\xe0"]
@@ -178,7 +207,10 @@ class TestRunBenchmark:
         assert rebuilt == report
 
     def test_duplicates_flagged(self):
-        report = run_benchmark(Corpus(b"abcabc", "tiny"), PatternSet((b"abc", b"abc")))
+        report = run_benchmark(Corpus(b"abcabc", "tiny"), (b"abc", b"abc"))
+        assert [r.duplicate for r in report.rows] == [False, True]
+        report = run_benchmark(Corpus("città città"), ("città", "città".encode()))
+        assert [r.pattern for r in report.rows] == ["città".encode()] * 2
         assert [r.duplicate for r in report.rows] == [False, True]
 
     def test_first_match_mode_never_costs_more(self, fixture_corpus, fixture_patterns):
@@ -194,7 +226,7 @@ class TestRunBenchmark:
 
         monkeypatch.setattr(bench_module, "kmp_search", broken_kmp)
         with pytest.raises(MatcherDisagreement) as exc_info:
-            run_benchmark(Corpus(b"aaaa", "tiny"), PatternSet((b"aa",)))
+            run_benchmark(Corpus(b"aaaa", "tiny"), (b"aa",))
         assert exc_info.value.first_difference == 0
 
     def test_deterministic_csv(self, fixture_corpus, fixture_patterns):
@@ -223,7 +255,7 @@ class TestRenderReport:
         assert "| 5.33% |" in out.splitlines()[-1]
 
     def test_markdown_rows_keep_seven_cells(self):
-        report = run_benchmark(Corpus(b"xa|b||luce", "a|b.txt"), PatternSet((b"a|b", b"|", b"luce")))
+        report = run_benchmark(Corpus(b"xa|b||luce", "a|b.txt"), (b"a|b", b"|", b"luce"))
         lines = render_report(report, ReportFormat.MARKDOWN).splitlines()
         assert lines[0].startswith("corpus: a|b.txt ")
         rows = lines[2:]

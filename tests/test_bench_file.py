@@ -38,7 +38,7 @@ def test_counts_match_committed_file(fixture_corpus, fixture_patterns):
     assert "BENCH_5.json" in [path.name for path in BENCH_FILES]
     corpus = fixture_corpus.data * REPEATS
     sha256 = hashlib.sha256(corpus).hexdigest()
-    counts = count_part(corpus, list(fixture_patterns.patterns))
+    counts = count_part(corpus, list(fixture_patterns))
     totals = {algo: sum(row[algo]["comparisons"] for row in counts.values()) for algo in ALGORITHMS}
     assert totals == PAPER_SCALE_TOTALS
 

@@ -203,6 +203,11 @@ class TestTableFiles:
         assert table.score("z") == 1
         assert table.score("e") == 29
 
+    def test_leading_byte_order_mark_dropped(self, tmp_path):
+        path = tmp_path / "notepad.tsv"
+        path.write_bytes(b"\xef\xbb\xbfz\t1\ne\t29\n")
+        assert dict(load_table(path).entries) == {ord("z"): 1, ord("e"): 29}
+
     def test_malformed_line_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             load_table(io.StringIO("zz\t3\n"))

@@ -343,7 +343,7 @@ class TestSkipLoop:
 
     def test_real_text_counts_equal_per_window_loops(self, fixture_corpus, fixture_patterns):
         # Italian text has long shared prefixes that short random cases lack.
-        for pattern in fixture_patterns.patterns:
+        for pattern in fixture_patterns:
             self.assert_same_as_per_window(fixture_corpus.data, pattern)
 
     @pytest.mark.parametrize(

@@ -46,7 +46,7 @@ PINNED = {
 
 def test_pins_cover_the_pattern_file(fixture_patterns):
     for pinned in PINNED.values():
-        assert list(pinned) == [p.decode() for p in fixture_patterns.patterns]
+        assert list(pinned) == [p.decode() for p in fixture_patterns]
 
 
 @pytest.mark.parametrize("mode", list(PINNED), ids=lambda mode: mode.value)
