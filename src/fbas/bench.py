@@ -76,7 +76,7 @@ class BenchRow:
     as ``\\xNN``, so each label names one byte string."""
 
     pattern: bytes
-    counts: dict[str, int]
+    counts: dict[str, int] = field(hash=False)
     occurrences: int
     anchor: AnchorSelection
     duplicate: bool = False
@@ -99,16 +99,19 @@ class BenchReport:
     """The rows of one run over a corpus. Like a row, the report has
     ``counts``, the row sums in ``ALGORITHMS`` order, and ``stats``,
     aggregated over the rows; both are derived. A mode given by its
-    value is coerced to its ``Mode``."""
+    value is coerced to its ``Mode``, and rows given in a list to a
+    tuple. Rows and reports are hashable: their ``counts`` dicts are
+    left out of the hash."""
 
     rows: tuple[BenchRow, ...]
     source_name: str
     corpus_length: int
     mode: Mode
-    counts: dict[str, int] = field(init=False)
+    counts: dict[str, int] = field(init=False, hash=False)
     stats: DerivedStats = field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "rows", tuple(self.rows))
         object.__setattr__(self, "mode", Mode(self.mode))
         counts = {algo: sum(r.counts[algo] for r in self.rows) for algo in ALGORITHMS}
         stats = aggregate_stats([r.stats for r in self.rows], tuple(counts.values()))
@@ -183,7 +186,7 @@ def run_benchmark(
         ))
         seen.add(pat)
 
-    return BenchReport(tuple(rows), corpus.source_name, corpus.length, mode)
+    return BenchReport(rows, corpus.source_name, corpus.length, mode)
 
 
 CSV_HEADER = (

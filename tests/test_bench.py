@@ -206,6 +206,17 @@ class TestRunBenchmark:
         rebuilt = BenchReport(report.rows, report.source_name, report.corpus_length, report.mode)
         assert rebuilt == report
 
+    def test_equal_rows_and_reports_hash_equal(self):
+        # Frozen like FrequencyTable, rows and reports can key a dict; the
+        # counts dicts are left out of the hash, as equal objects have
+        # equal counts anyway.
+        report, again = (run_benchmark(Corpus(b"abcabc"), [b"abc"]) for _ in range(2))
+        assert hash(report) == hash(again) and hash(report.rows[0]) == hash(again.rows[0])
+        assert {report: 1}[again] == 1
+        rows = list(report.rows)
+        from_list = BenchReport(rows, report.source_name, report.corpus_length, report.mode)
+        assert from_list == report and hash(from_list) == hash(report)
+
     def test_duplicates_flagged(self):
         report = run_benchmark(Corpus(b"abcabc", "tiny"), (b"abc", b"abc"))
         assert [r.duplicate for r in report.rows] == [False, True]

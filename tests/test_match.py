@@ -1,4 +1,5 @@
 """The four matchers: positions, counting semantics, and shift tables."""
+import itertools
 import tracemalloc
 
 import pytest
@@ -307,6 +308,21 @@ class TestOracleEquivalence:
             assert first_mode.comparisons <= all_mode.comparisons
 
 
+def horspool_blocks(query: SearchQuery) -> list[tuple[int, list[int]]]:
+    """The Horspool walk's windows grouped into its blocks, as
+    ``(planned size, window positions)``: a block that starts at window
+    position w plans ``(n - m + 1 - w) // m`` windows, at least one. A
+    FIRST_MATCH walk can end a block early."""
+    n, m = len(query.text), len(query.pattern)
+    positions = [pos for pos, _, _ in per_window_horspool_walk(query)[1]]
+    blocks = []
+    while positions:
+        planned = (n - m + 1 - positions[0]) // m or 1
+        blocks.append((planned, positions[:planned]))
+        positions = positions[planned:]
+    return blocks
+
+
 class TestSkipLoop:
     """Every matcher against its per-window reference: naive and kmp reach
     candidate windows with bytes.find, and bmh and fbas keep no window
@@ -378,6 +394,9 @@ class TestSkipLoop:
             pytest.param(b"xabcabcabdabcabx", b"abcabd", id="bordered-excursion-takes-pat0"),
             pytest.param(b"ab abc abx abcab abcab", b"abcab", id="first-match-in-later-stretch"),
             pytest.param(b"a" * 20000, b"ab", id="state-1-at-every-byte"),
+            pytest.param(b"xyzxyzxyzxy", b"abc", id="last-block-ends-on-stop"),
+            pytest.param(b"xyzabcxyzxyz", b"abc", id="first-match-mid-block"),
+            pytest.param(b"xyzxyzx", b"abc", id="blocks-of-one-window"),
         ],
     )
     def test_edge_cases(self, text, pattern):
@@ -443,6 +462,20 @@ class TestSkipLoop:
         assert 0 in kmp_states(text, pattern)[text.find(pattern[:top]):text.find(pattern)]
         # KMP stays in state 1 from the first byte to the last.
         assert set(kmp_states(b"a" * 20000, b"ab")) == {1}
+        # The walk's last block runs all its windows and its last shift
+        # lands exactly on the end of the text.
+        text, pattern = b"xyzxyzxyzxy", b"abc"
+        planned, windows = horspool_blocks(SearchQuery(text, pattern))[-1]
+        end = windows[-1] + len(pattern) - 1
+        assert planned == len(windows) > 1
+        assert end + build_shift_table(pattern)[text[end]] == len(text)
+        # The first match is the second window of a longer block.
+        text, pattern = b"xyzabcxyzxyz", b"abc"
+        planned, windows = horspool_blocks(SearchQuery(text, pattern, FIRST))[0]
+        assert planned > len(windows) and windows == [0, 3] == [0, *oracle_positions(text, pattern)]
+        # Every block holds one window, and there is more than one window.
+        blocks = horspool_blocks(SearchQuery(b"xyzxyzx", b"abc"))
+        assert len(blocks) > 1 and all(planned == len(windows) == 1 for planned, windows in blocks)
 
 
 class TestWalkOrders:
@@ -454,8 +487,11 @@ class TestWalkOrders:
     @settings(max_examples=300)
     def test_any_order_equals_per_window_walk(self, data):
         text, pattern = data.draw(search_cases())
-        order = data.draw(st.permutations(range(len(pattern))))
-        for mode in (ALL, FIRST):
+        drawn = data.draw(st.permutations(range(len(pattern))))
+        # The drawn order, and the same order rotated to start at index
+        # m - 1, so the walk's shift-byte-first loop runs too.
+        last = drawn.index(len(pattern) - 1)
+        for order, mode in itertools.product((drawn, drawn[last:] + drawn[:last]), (ALL, FIRST)):
             query = SearchQuery(text, pattern, mode)
             reference, windows = per_window_horspool_walk(query, order=order)
             positions, comparisons, alignments, hits = _horspool_walk(query, order)
