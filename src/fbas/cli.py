@@ -110,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Building the tree takes about 0.55 ms, three quarters of the 0.7 ms a
+# Building the tree takes about 0.6 ms, four fifths of the 0.73 ms a
 # one-pattern bench call on the sample corpus takes (medians on a 2-vCPU
 # x86-64 host, Python 3.11), so every call of main reuses this one.
 _PARSER = build_parser()

@@ -19,16 +19,19 @@ list of all m pattern indices: bmh passes m-1 down to 0, fbas the
 anchor and then the other indices left to right. The walk shifts on
 the window's last byte whatever the order, so the two examine the same
 sequence of windows by construction. The walk runs its windows in
-blocks that need no bound test and no count per window, and when the
-first test is on the shift byte (always for bmh) it reads that byte
-once for the test and the shift. The loops keep counts only: a window
-whose first test misses costs one comparison, so the misses need no
-bookkeeping beyond ``alignments``.
+blocks that need no bound test, no count and no new int per window,
+and when the first test is on the shift byte (always for bmh) it reads
+that byte once for the test and the shift. The loops keep counts only:
+a window whose first test misses costs one comparison, so the misses
+need no bookkeeping beyond ``alignments``, and a window whose first
+test hits adds what its other tests cost in one step.
 """
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import length_hint
 
 from ._bytes import as_bytes, byte_value
 from .errors import EmptyCorpus, EmptyPattern, InvalidProbability
@@ -266,24 +269,33 @@ def _horspool_walk(
     by ``alignments`` alone; only a hit does more work.
 
     A window is tracked by ``a``, the text index of its first-tested
-    byte, and the rest of the order is precomputed as (offset from
-    ``a``, pattern byte) pairs. The shift byte, the window's last, is
-    ``back`` bytes after ``a``. The shift comes from that byte alone, so
-    the window sequence depends on the text and pattern, never on the
-    order.
+    byte. The shift byte, the window's last, is ``back`` bytes after
+    ``a``. The shift comes from that byte alone, so the window sequence
+    depends on the text and pattern, never on the order.
 
     Every shift is at most m, so from ``a`` the next
     ``(stop - a) // m`` windows (at least one) all start before
     ``stop``. They run as one block, with no bound test and no count per
-    window, and the block is counted when it ends (up to the matching
-    window, when FIRST_MATCH stops inside it). Two copies of the
-    block differ only in how a window reads its bytes. When the first
-    test is on the shift byte (``back == 0``: always for bmh), the byte
-    is read once and serves both the test and the shift. Otherwise the
-    shift byte is read through a zero-copy view of the text that starts
-    ``back`` bytes in, so no window adds ``back``. Each copy verifies its
-    hits in place: ending the block at every hit and verifying once
-    after it made the walk 1.5 times slower on 2- and 4-letter text.
+    window, over ``repeat(None, block)``, which yields the same object
+    each time where ``range`` makes a new int for every window past the
+    256th (CPython caches only small ints). The block is counted when
+    it ends; when FIRST_MATCH stops inside it,
+    ``block - length_hint(windows)`` counts it up to the matching
+    window. Two copies of the block differ only
+    in how a window reads its bytes. When the first test is on the
+    shift byte (``back == 0``: always for bmh), the byte is read once
+    and serves both the test and the shift. Otherwise the shift byte is
+    read through a zero-copy view of the text that starts ``back`` bytes
+    in, so no window adds ``back``. Each copy verifies its hits in
+    place: ending the block at every hit and verifying once after it
+    made the walk 1.5 times slower on 2- and 4-letter text.
+
+    A hit tests the order's second index inline, then walks the rest as
+    (offset from ``a``, pattern byte, rank) triples built once per call,
+    the second index being rank 1. A hit adds 1 when the second test
+    misses, the rank of a later test that misses, and m - 1 when the
+    window matches. For m = 1 the second test is the first one again:
+    it holds on every hit and is never charged.
     """
     text, pat = query.text, query.pattern
     first_only = query.mode is Mode.FIRST_MATCH
@@ -292,7 +304,9 @@ def _horspool_walk(
     first = order[0]
     back = m - 1 - first  # from the first-tested byte to the shift byte
     first_byte = pat[first]
-    checks = [(i - first, pat[i]) for i in order[1:]]
+    second = order[1] if m > 1 else first  # for m = 1, the first test again
+    second_offset, second_byte = second - first, pat[second]
+    checks = [(i - first, pat[i], k) for k, i in enumerate(order[2:], 2)]
     shift_bytes = memoryview(text)[back:]  # shift_bytes[a] is text[a + back]
     positions: list[int] = []
     alignments = hits = extra = 0
@@ -300,34 +314,43 @@ def _horspool_walk(
     a, stop = first, len(text) - back
     while a < stop:
         block = (stop - a) // m or 1  # every shift is at most m
+        windows = repeat(None, block)
         if back:
-            for j in range(block):
+            for _ in windows:
                 if text[a] == first_byte:
                     hits += 1
-                    for offset, byte in checks:
+                    if text[a + second_offset] != second_byte:
                         extra += 1
-                        if text[a + offset] != byte:
-                            break
                     else:
-                        positions.append(a - first)
-                        if first_only:
-                            alignments += j + 1
-                            return positions, alignments + extra, alignments, hits
+                        for offset, byte, k in checks:
+                            if text[a + offset] != byte:
+                                extra += k
+                                break
+                        else:
+                            extra += m - 1
+                            positions.append(a - first)
+                            if first_only:
+                                alignments += block - length_hint(windows)
+                                return positions, alignments + extra, alignments, hits
                 a += shifts[shift_bytes[a]]
         else:
-            for j in range(block):
+            for _ in windows:
                 c = text[a]
                 if c == first_byte:
                     hits += 1
-                    for offset, byte in checks:
+                    if text[a + second_offset] != second_byte:
                         extra += 1
-                        if text[a + offset] != byte:
-                            break
                     else:
-                        positions.append(a - first)
-                        if first_only:
-                            alignments += j + 1
-                            return positions, alignments + extra, alignments, hits
+                        for offset, byte, k in checks:
+                            if text[a + offset] != byte:
+                                extra += k
+                                break
+                        else:
+                            extra += m - 1
+                            positions.append(a - first)
+                            if first_only:
+                                alignments += block - length_hint(windows)
+                                return positions, alignments + extra, alignments, hits
                 a += shifts[c]
         alignments += block
 

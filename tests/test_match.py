@@ -87,6 +87,22 @@ def prefix_dense_cases(draw):
     return b"".join(draw(st.lists(pieces, max_size=24))), pattern
 
 
+@st.composite
+def long_walk_cases(draw):
+    """A text of up to 2 KiB over 2-4 letters and a pattern of up to 16
+    bytes, half the time cut from the text: long blocks of windows and
+    many first-test hits."""
+    sigma = draw(st.sampled_from((b"ab", b"abc", b"abcd")))
+    size = draw(st.integers(0, 2048))
+    letters = bytes(sigma[b % len(sigma)] for b in range(256))
+    text = draw(st.binary(min_size=size, max_size=size)).translate(letters)
+    if text and draw(st.booleans()):
+        m = draw(st.integers(1, min(16, len(text))))
+        start = draw(st.integers(0, len(text) - m))
+        return text, text[start:start + m]
+    return text, bytes(draw(st.lists(st.sampled_from(sigma), min_size=1, max_size=16)))
+
+
 def kmp_states(text, pattern):
     """The KMP automaton's state after each text byte."""
     fail, j, states = _failure_function(pattern), 0, []
@@ -397,6 +413,10 @@ class TestSkipLoop:
             pytest.param(b"xyzxyzxyzxy", b"abc", id="last-block-ends-on-stop"),
             pytest.param(b"xyzabcxyzxyz", b"abc", id="first-match-mid-block"),
             pytest.param(b"xyzxyzx", b"abc", id="blocks-of-one-window"),
+            pytest.param(b"x" * 2000 + b"zebra" + b"x" * 500, b"zebra", id="first-match-past-window-256"),
+            pytest.param(b"b" * 600 + b"ab", b"a", id="m-is-1-past-window-256"),
+            pytest.param(b"aabbabab" * 40, b"ba", id="m-is-2"),
+            pytest.param(b"xxbdxbcdabcxabcd", b"abcd", id="hits-miss-at-second-and-last-test"),
         ],
     )
     def test_edge_cases(self, text, pattern):
@@ -476,6 +496,26 @@ class TestSkipLoop:
         # Every block holds one window, and there is more than one window.
         blocks = horspool_blocks(SearchQuery(b"xyzxyzx", b"abc"))
         assert len(blocks) > 1 and all(planned == len(windows) == 1 for planned, windows in blocks)
+        # The first match lies past window 256 of a longer block, for bmh's
+        # order and for an anchor-first order whose first test is not on the
+        # shift byte.
+        text, pattern = b"x" * 2000 + b"zebra" + b"x" * 500, b"zebra"
+        planned, windows = horspool_blocks(SearchQuery(text, pattern, FIRST))[0]
+        assert planned > len(windows) > 256 and windows[-1] == oracle_positions(text, pattern)[0]
+        assert select_anchor(pattern).index < len(pattern) - 1
+        # m = 1: one block of one-byte shifts, matching past window 256.
+        text, pattern = b"b" * 600 + b"ab", b"a"
+        planned, windows = horspool_blocks(SearchQuery(text, pattern, FIRST))[0]
+        assert planned > len(windows) > 256 and windows[-1] == oracle_positions(text, pattern)[0]
+        # First-test hits that match, and hits that miss at the second test
+        # and at the last: for m = 2 (the shift byte tested first for bmh,
+        # the other byte for fbas) and for m = 4.
+        assert select_anchor(b"ba").index == 0
+        for text, pattern in ((b"aabbabab" * 40, b"ba"), (b"xxbdxbcdabcxabcd", b"abcd")):
+            for anchor in (None, select_anchor(pattern)):
+                outcome, windows = per_window_horspool_walk(SearchQuery(text, pattern), anchor)
+                costs = {cost for pos, cost, _ in windows if pos not in outcome.positions}
+                assert outcome.positions and {2, len(pattern)} <= costs
 
 
 class TestWalkOrders:
@@ -502,6 +542,21 @@ class TestWalkOrders:
             _, bmh_windows = per_window_horspool_walk(query)
             assert [w[0] for w in windows] == [w[0] for w in bmh_windows]
             assert alignments == bmh_search(query).alignments
+
+    @given(long_walk_cases(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_long_texts_equal_per_window_walk(self, case, data):
+        # Blocks of hundreds of windows, and hits that verify in full or
+        # miss at any rank of a random order.
+        text, pattern = case
+        order = data.draw(st.permutations(range(len(pattern))))
+        for mode in (ALL, FIRST):
+            query = SearchQuery(text, pattern, mode)
+            reference, _ = per_window_horspool_walk(query, order=order)
+            assert _horspool_walk(query, order) == (
+                reference.positions, reference.comparisons, reference.alignments,
+                reference.anchor_hits,
+            )
 
 
 class TestOutcomeInvariants:
