@@ -16,7 +16,7 @@ import json
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-from ._bytes import as_bytes, read_source
+from ._bytes import as_bytes, display_byte, read_source
 from .errors import EmptyCorpus, EmptyPattern, MatcherDisagreement
 from .freq import AnchorSelection, FrequencyTable
 from .match import ALGORITHMS, Mode, SearchQuery, bmh_search, fbas_search, kmp_search, naive_search
@@ -72,8 +72,9 @@ class BenchRow:
     derived from the counts and ``length`` and ``label`` from the
     pattern. ``counts`` maps each matcher name to its count, in
     ``ALGORITHMS`` order. ``label`` is the pattern as UTF-8 text, with a
-    backslash written as ``\\\\`` and any other byte that is not UTF-8
-    as ``\\xNN``, so each label names one byte string."""
+    backslash written as ``\\\\``, and a control byte (0x00-0x1f, 0x7f)
+    or any other byte that is not UTF-8 as ``\\xNN``, so each label names
+    one byte string and fits on one line of a report."""
 
     pattern: bytes
     counts: dict[str, int] = field(hash=False)
@@ -91,7 +92,8 @@ class BenchRow:
 
     @property
     def label(self) -> str:
-        return self.pattern.replace(b"\\", b"\\\\").decode("utf-8", "backslashreplace")
+        text = self.pattern.replace(b"\\", b"\\\\").decode("utf-8", "backslashreplace")
+        return "".join(display_byte(ord(c)) if c < "\x80" else c for c in text)
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,10 @@ Boyer-Moore-Horspool, and the anchor-first Horspool variant (fbas).
 All of them operate on raw bytes, return 0-based byte offsets, and
 count every text-byte vs pattern-byte equality test made during the
 search phase. Preprocessing comparisons are not counted. The naive and
-KMP matchers run Python only from the occurrences, found by
-``bytes.find``, of the pattern's longest borderless prefix, and count
-the rest of the text in bulk with ``bytes.count``, so their counts are
-those of a per-window loop at a fraction of its time.
+KMP matchers count with ``bytes.count`` the windows or bytes that start
+with a prefix of the pattern in which ``pat[0]`` does not recur, and run
+Python only from that prefix's occurrences, found by ``bytes.find``, so
+their counts are those of a per-window loop at a fraction of its time.
 
 The fbas matcher keeps Horspool's bad-character shift rule untouched
 and changes only the verification order inside a window: the pattern's
@@ -113,12 +113,13 @@ def naive_search(query: SearchQuery) -> SearchOutcome:
     A window costs one comparison per byte of its common prefix with the
     pattern, plus the mismatching one: ``min(lcp + 1, m)``. Summed over
     the windows that is ``alignments + Σ lcp − matches``, and ``Σ lcp``
-    is the sum over k of the windows that start with ``pat[:k]``. While
-    ``pat[:k]`` has no border its occurrences cannot overlap, so
-    ``bytes.count`` counts those windows exactly at C speed (the skip
-    loop of Hume & Sunday, 1991, taken level by level). Past the last
-    such level, ``top``, only the windows that start with ``pat[:top]``
-    are verified in Python. The counts are those of a per-window loop.
+    is the sum over h of the windows that start with ``pat[:h]``. They
+    cannot overlap while ``pat[0]`` does not recur in ``pat[:h]``, so
+    ``bytes.count`` counts them exactly (Hume & Sunday's skip loop, 1991,
+    level by level). Counting goes up a level while ``pat[0]`` does not
+    recur there and more than one window in 256 starts with the level
+    below; the windows that start with the last level counted are then
+    verified in Python. The counts do not depend on where it stops.
     """
     text, pat = query.text, query.pattern
     n, m = len(text), len(pat)
@@ -127,19 +128,22 @@ def naive_search(query: SearchQuery) -> SearchOutcome:
     last = n - m  # the last window examined: the first match, if any, in FIRST_MATCH
     if query.mode is Mode.FIRST_MATCH and (first := text.find(pat)) >= 0:
         last = first
-    top = _borderless_top(_failure_function(pat))
     positions: list[int] = []
-    levels = _prefix_counts(text, [pat[:k] for k in range(1, top + 1)], 0, last)
-    lcp_sum = sum(levels)
+    lcp_sum = 0
+    for h in range(1, m + 1):
+        windows = text.count(pat[:h], 0, last + h)
+        lcp_sum += windows
+        if h == m or pat[h] == pat[0] or windows <= last >> 8:
+            break
 
-    if len(levels) == top:
-        head, stop = pat[:top], last + top
+    if windows:
+        head, stop = pat[:h], last + h
         pos = text.find(head, 0, stop)
         while pos >= 0:
-            k = top
+            k = h
             while k < m and text[pos + k] == pat[k]:
                 k += 1
-            lcp_sum += k - top
+            lcp_sum += k - h
             if k == m:
                 positions.append(pos)
             pos = text.find(head, pos + 1, stop)
@@ -164,17 +168,11 @@ def _failure_function(pat: bytes) -> list[int]:
     return fail
 
 
-def _borderless_top(fail: list[int]) -> int:
-    """The largest ``top`` such that no ``pat[:k]`` with k <= top has a
-    border; ``pat[0]`` then does not recur in ``pat[1:top]``."""
-    return next((k for k in range(1, len(fail)) if fail[k]), len(fail))
-
-
 def _prefix_counts(text: bytes, prefixes: list[bytes], start: int, last: int) -> list[int]:
     """How many windows starting in ``[start, last]`` begin with each of
-    ``prefixes`` (``pat[:1]``, ``pat[:2]``, ...), up to the first that
-    none begins with. The prefixes are borderless, so their occurrences
-    cannot overlap and ``bytes.count`` finds every one.
+    KMP's ``prefixes`` (``pat[:1]``, ``pat[:2]``, ... short of where
+    ``pat[0]`` first recurs), up to the first that none begins with.
+    Their occurrences cannot overlap, so ``bytes.count`` finds every one.
     """
     counts = []
     for k, prefix in enumerate(prefixes, 1):
@@ -195,8 +193,8 @@ def kmp_search(query: SearchQuery) -> SearchOutcome:
     moves, and an alignment is counted, after a mismatch or a full match
     that leaves a state above 0.
 
-    Whenever the state falls to 0, the scan goes on at the next
-    ``pat[:top]``, the longest borderless prefix (as in ``naive_search``),
+    ``top`` is where ``pat[0]`` first recurs in the pattern, or m. Whenever
+    the state falls to 0, the scan goes on at the next ``pat[:top]``,
     found by ``bytes.find``, in state ``top`` just past it. The stretch
     skipped on the way is charged in bulk. As ``pat[0]`` does not recur
     in ``pat[1:top]``, each ``pat[0]`` in the stretch starts a partial
@@ -212,7 +210,8 @@ def kmp_search(query: SearchQuery) -> SearchOutcome:
         return SearchOutcome()
     first_only = query.mode is Mode.FIRST_MATCH
     fail = _failure_function(pat)
-    top = _borderless_top(fail)
+    top = pat.find(pat[:1], 1)  # where pat[0] first recurs
+    top = m if top < 0 else top
     head = pat[:top]
     partials = [pat[:k] for k in range(1, top)]  # all a stretch can hold of the pattern
     positions: list[int] = []

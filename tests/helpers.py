@@ -9,7 +9,7 @@ from collections.abc import Sequence
 
 from fbas.cli import main
 from fbas.freq import AnchorSelection
-from fbas.match import Mode, SearchOutcome, SearchQuery, _failure_function, build_shift_table
+from fbas.match import Mode, SearchOutcome, SearchQuery
 
 
 # Reference comparison counts for the classic 12-pattern benchmark over the
@@ -48,7 +48,9 @@ def oracle_positions(text: bytes, pattern: bytes, first_only: bool = False) -> l
 # The per-window loops that the package's matchers replace: naive and
 # KMP visit every window and every text byte in Python, and the Horspool
 # walk records every window it examines. Their counts hold by
-# inspection; the package's matchers must reproduce them exactly.
+# inspection; the package's matchers must reproduce them exactly. They
+# build their failure function and shifts from the definitions, so they
+# share no code with the matchers they check.
 
 
 def per_window_naive_search(query: SearchQuery) -> SearchOutcome:
@@ -88,7 +90,8 @@ def per_window_kmp_search(query: SearchQuery) -> SearchOutcome:
     if n < m:
         return SearchOutcome()
     first_only = query.mode is Mode.FIRST_MATCH
-    fail = _failure_function(pat)
+    # fail[i]: the length of the longest proper border of pat[:i + 1].
+    fail = [max(k for k in range(i + 1) if pat[:k] == pat[i + 1 - k:i + 1]) for i in range(m)]
     positions: list[int] = []
     comparisons = alignments = 0
     last_start = -1
@@ -132,7 +135,6 @@ def per_window_horspool_walk(
     m = len(pat)
     limit = len(text) - m
     first_only = query.mode is Mode.FIRST_MATCH
-    shifts = build_shift_table(pat)
     counts_hits = anchor is not None or order is not None
     if anchor is not None:
         order = [anchor.index] + [i for i in range(m) if i != anchor.index]
@@ -162,7 +164,9 @@ def per_window_horspool_walk(
         windows.append((pos, cost, hit and counts_hits))
         if first_only and positions:
             break
-        pos += shifts[text[pos + last]]
+        # Horspool's shift: from the last occurrence of the window's last
+        # byte in pat[:m - 1] to the pattern's end, or m when it has none.
+        pos += m - 1 - pat.rfind(text[pos + last], 0, m - 1)
 
     outcome = SearchOutcome(
         positions=positions,

@@ -201,6 +201,10 @@ class TestRunBenchmark:
         csv_rows = render_report(report, ReportFormat.CSV).splitlines()[1:4]
         assert [row.split(",")[0] for row in csv_rows] == ["\\\\xff", "\\xff", "\\xe0"]
 
+    def test_labels_tell_a_control_byte_from_its_escape(self):
+        report = run_benchmark(Corpus(b"\t \\x09", "tiny"), (b"\t", b"\\x09"))
+        assert [r.label for r in report.rows] == ["\\x09", "\\\\x09"]
+
     def test_report_rebuilt_from_its_rows_is_equal(self, fixture_corpus, fixture_patterns):
         report = run_benchmark(fixture_corpus, fixture_patterns)
         rebuilt = BenchReport(report.rows, report.source_name, report.corpus_length, report.mode)
@@ -274,6 +278,23 @@ class TestRenderReport:
         for line in rows:
             assert len(re.split(r"(?<!\\)\|", line)) == 7 + 2, line
         assert rows[2].startswith("| a\\|b | 3 |")
+
+    def test_control_bytes_keep_one_line_per_row(self, tmp_path):
+        # A raw tab would shift the text columns, and a CR ends a Markdown row.
+        path = tmp_path / "p.txt"
+        path.write_bytes(b"x\ty\nb\rc\n\x7f\x1b\n")
+        patterns = load_patterns(path)
+        assert patterns == (b"x\ty", b"b\rc", b"\x7f\x1b")
+        report = run_benchmark(Corpus(b"x\ty b\rc", "tiny"), patterns)
+        assert [r.label for r in report.rows] == ["x\\x09y", "b\\x0dc", "\\x7f\\x1b"]
+        for format, lines in ((ReportFormat.TEXT, 3 + 3 + 2), (ReportFormat.MARKDOWN, 4 + 3 + 1)):
+            out = render_report(report, format)
+            assert len(out.splitlines()) == lines
+            assert all(" " <= c != "\x7f" for c in out.replace("\n", "")), format
+        markdown = render_report(report, ReportFormat.MARKDOWN).splitlines()
+        assert [line.split(" | ")[0] for line in markdown[4:7]] == [
+            "| x\\x09y", "| b\\x0dc", "| \\x7f\\x1b"
+        ]
 
     def test_text_layout_columns(self):
         report = report_from_counts([r[:6] for r in KNOWN_BENCHMARK_ROWS])

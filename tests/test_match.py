@@ -24,7 +24,7 @@ from fbas import (
     search,
     select_anchor,
 )
-from fbas.match import _borderless_top, _failure_function, _horspool_walk
+from fbas.match import _failure_function, _horspool_walk
 from helpers import (
     oracle_positions,
     per_window_horspool_walk,
@@ -112,6 +112,11 @@ def kmp_states(text, pattern):
         j += c == pattern[j]
         states.append(j)
     return states
+
+
+def recurrence(pattern):
+    """Where ``pattern[0]`` first recurs, or m if it does not: KMP's ``top``."""
+    return next((k for k in range(1, len(pattern)) if pattern[k] == pattern[0]), len(pattern))
 
 
 def bmh_trace(query):
@@ -373,6 +378,15 @@ class TestSkipLoop:
     def test_prefix_dense_counts_equal_per_window_loops(self, case):
         self.assert_same_as_per_window(*case)
 
+    @given(long_walk_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_long_text_counts_equal_per_window_loops(self, case):
+        # Texts of up to 2 KiB, where naive's last >> 8 is above 0.
+        for mode in (ALL, FIRST):
+            query = SearchQuery(*case, mode)
+            assert naive_search(query) == per_window_naive_search(query)
+            assert kmp_search(query) == per_window_kmp_search(query)
+
     def test_real_text_counts_equal_per_window_loops(self, fixture_corpus, fixture_patterns):
         # Italian text has long shared prefixes that short random cases lack.
         for pattern in fixture_patterns:
@@ -417,10 +431,40 @@ class TestSkipLoop:
             pytest.param(b"b" * 600 + b"ab", b"a", id="m-is-1-past-window-256"),
             pytest.param(b"aabbabab" * 40, b"ba", id="m-is-2"),
             pytest.param(b"xxbdxbcdabcxabcd", b"abcd", id="hits-miss-at-second-and-last-test"),
+            # Texts of 512 bytes and more, where naive may stop counting
+            # on a sparse level rather than an empty one.
+            pytest.param(b"ab" * 300, b"azb", id="dense-level-then-empty"),
+            pytest.param(b"x" * 300 + b"zebu" + b"x" * 300 + b"zebra" + b"x" * 10, b"zebra",
+                         id="rare-first-byte"),
+            pytest.param(b"aabaaabab" * 60, b"aab", id="first-byte-recurs-at-1-long"),
+            # The sparse threshold's first steps: last = n - m is 255, 256,
+            # 511 and 512, with one or two windows on each counted level.
+            pytest.param((b"x" * 100 + b"zebu").ljust(255 + 5, b"x"), b"zebra", id="last-255"),
+            pytest.param((b"x" * 100 + b"zebu").ljust(256 + 5, b"x"), b"zebra", id="last-256"),
+            pytest.param((b"x" * 100 + b"zebu" + b"x" * 200 + b"zebra").ljust(511 + 5, b"x"),
+                         b"zebra", id="last-511"),
+            pytest.param((b"x" * 100 + b"zebu" + b"x" * 200 + b"zebra").ljust(512 + 5, b"x"),
+                         b"zebra", id="last-512"),
         ],
     )
     def test_edge_cases(self, text, pattern):
         self.assert_same_as_per_window(text, pattern)
+
+    def test_long_edge_cases_reach_their_levels(self):
+        # Naive counts a dense level, then an empty one.
+        text = b"ab" * 300
+        assert text.count(b"a") > (len(text) - 3) >> 8 and b"az" not in text
+        # It stops at level 1 on a first byte that starts at most last >> 8
+        # windows.
+        text = b"x" * 300 + b"zebu" + b"x" * 300 + b"zebra" + b"x" * 10
+        assert text.count(b"z") == (len(text) - 5) >> 8
+        # At last = 255 and 511 it counts on past level 1; one window
+        # more and the threshold steps up, so it stops there.
+        short = b"x" * 100 + b"zebu"
+        for head, last in ((short, 255), (short, 256), (short + b"x" * 200 + b"zebra", 511),
+                           (short + b"x" * 200 + b"zebra", 512)):
+            text = head.ljust(last + 5, b"x")
+            assert (text.count(b"z") > last >> 8) == (last % 256 == 255)
 
     def test_kmp_copies_no_text_at_its_end(self):
         # The last stretch holds pat[0] far from the end of the text;
@@ -463,21 +507,21 @@ class TestSkipLoop:
         _, windows = per_window_horspool_walk(SearchQuery(text, pattern), anchor)
         assert anchor.index == 0 and windows[-1][0] == len(text) - len(pattern)
         # KMP's stretches: the text ends inside a partial match that no
-        # occurrence of the borderless prefix pat[:top] follows.
-        top = _borderless_top(_failure_function(b"abc"))
+        # occurrence of pat[:top], up to where pat[0] recurs, follows.
+        top = recurrence(b"abc")
         assert b"xab abxab".find(b"abc"[:top]) < 0 and kmp_states(b"xab abxab", b"abc")[-1] == 2
         # pat[:top] ends on the last text byte, with top < m.
         text, pattern = b"xaxabxyzabc", b"abcab"
-        top = _borderless_top(_failure_function(pattern))
+        top = recurrence(pattern)
         assert top < len(pattern) and text.find(pattern[:top]) == len(text) - top
-        assert _borderless_top(_failure_function(b"aab")) == 1
+        assert recurrence(b"aab") == 1
         # A bordered excursion above top reads a later pat[0] at a state above 0.
         text, pattern = b"xabcabcabdabcabx", b"abcabd"
         states = kmp_states(text, pattern)
         assert any(text[p] == pattern[0] and states[p] > 1 for p in range(len(text)))
         # The first match follows a stretch that ends at pat[:top] and a failed excursion.
         text, pattern = b"ab abc abx abcab abcab", b"abcab"
-        top = _borderless_top(_failure_function(pattern))
+        top = recurrence(pattern)
         assert 0 < text.find(pattern[:top]) < text.find(pattern)
         assert 0 in kmp_states(text, pattern)[text.find(pattern[:top]):text.find(pattern)]
         # KMP stays in state 1 from the first byte to the last.
@@ -516,6 +560,30 @@ class TestSkipLoop:
                 outcome, windows = per_window_horspool_walk(SearchQuery(text, pattern), anchor)
                 costs = {cost for pos, cost, _ in windows if pos not in outcome.positions}
                 assert outcome.positions and {2, len(pattern)} <= costs
+
+
+class TestFirstMatchCut:
+    """FIRST_MATCH is ALL_MATCHES over the text cut after the first match,
+    for every matcher, though each stops its own way: naive bounds its
+    last window, KMP breaks out of its scan and the Horspool walk returns
+    from inside its block."""
+
+    def assert_first_is_cut_all(self, text, pattern):
+        p = text.find(pattern)
+        cut = text if p < 0 else text[:p + len(pattern)]
+        for matcher in (naive_search, kmp_search, bmh_search, fbas_search):
+            first = matcher(SearchQuery(text, pattern, FIRST))
+            assert first == matcher(SearchQuery(cut, pattern, ALL)), matcher.__name__
+
+    @given(search_cases())
+    @settings(max_examples=300)
+    def test_short_texts(self, case):
+        self.assert_first_is_cut_all(*case)
+
+    @given(long_walk_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_long_texts(self, case):
+        self.assert_first_is_cut_all(*case)
 
 
 class TestWalkOrders:
