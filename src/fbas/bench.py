@@ -23,6 +23,8 @@ from .match import ALGORITHMS, Mode, SearchQuery, bmh_search, fbas_search, kmp_s
 from .metrics import DerivedStats, aggregate_stats, derive_stats, present
 
 _UTF8_BOM = b"\xef\xbb\xbf"
+# The characters past ASCII that str.splitlines breaks on, as their UTF-8 bytes.
+_BREAKS = {ord(c): "".join(map(display_byte, c.encode())) for c in "\x85\u2028\u2029"}
 
 
 @dataclass(frozen=True)
@@ -59,10 +61,11 @@ def load_corpus(source, lowercase: bool = False) -> Corpus:
 
 def load_patterns(source) -> tuple[bytes, ...]:
     """Read a pattern list: UTF-8, one pattern per line, taken verbatim
-    to end of line. One leading UTF-8 byte-order mark is dropped. Lines
-    starting with '#' and blank lines are skipped."""
+    to end of line; one CR before the LF is dropped. One leading UTF-8
+    byte-order mark is dropped. Lines starting with '#' and blank lines
+    are skipped."""
     raw, _ = read_source(source, "patterns")
-    lines = (line.rstrip(b"\r") for line in raw.removeprefix(_UTF8_BOM).split(b"\n"))
+    lines = (line.removesuffix(b"\r") for line in raw.removeprefix(_UTF8_BOM).split(b"\n"))
     return tuple(line for line in lines if line and not line.startswith(b"#"))
 
 
@@ -72,9 +75,10 @@ class BenchRow:
     derived from the counts and ``length`` and ``label`` from the
     pattern. ``counts`` maps each matcher name to its count, in
     ``ALGORITHMS`` order. ``label`` is the pattern as UTF-8 text, with a
-    backslash written as ``\\\\``, and a control byte (0x00-0x1f, 0x7f)
-    or any other byte that is not UTF-8 as ``\\xNN``, so each label names
-    one byte string and fits on one line of a report."""
+    backslash written as ``\\\\``, and a control byte (0x00-0x1f, 0x7f),
+    any other byte that is not UTF-8 and each byte of U+0085, U+2028 and
+    U+2029 (which ``str.splitlines`` breaks on) as ``\\xNN``, so each
+    label names one byte string and fits on one line of a report."""
 
     pattern: bytes
     counts: dict[str, int] = field(hash=False)
@@ -93,7 +97,7 @@ class BenchRow:
     @property
     def label(self) -> str:
         text = self.pattern.replace(b"\\", b"\\\\").decode("utf-8", "backslashreplace")
-        return "".join(display_byte(ord(c)) if c < "\x80" else c for c in text)
+        return "".join(display_byte(ord(c)) if c < "\x80" else c for c in text).translate(_BREAKS)
 
 
 @dataclass(frozen=True)

@@ -4,11 +4,14 @@ Four matchers share one interface: naive scan, Knuth-Morris-Pratt,
 Boyer-Moore-Horspool, and the anchor-first Horspool variant (fbas).
 All of them operate on raw bytes, return 0-based byte offsets, and
 count every text-byte vs pattern-byte equality test made during the
-search phase. Preprocessing comparisons are not counted. The naive and
-KMP matchers count with ``bytes.count`` the windows or bytes that start
-with a prefix of the pattern in which ``pat[0]`` does not recur, and run
-Python only from that prefix's occurrences, found by ``bytes.find``, so
-their counts are those of a per-window loop at a fraction of its time.
+search phase. Preprocessing comparisons are not counted. In
+FIRST_MATCH every matcher reads the text only up to the end of the
+first occurrence, as ``bytes.find`` finds it, so its counts are those
+of ALL_MATCHES over that prefix. The naive and KMP matchers count with
+``bytes.count`` the windows or bytes that start with a prefix of the
+pattern in which ``pat[0]`` does not recur, and run Python only from
+that prefix's occurrences, found by ``bytes.find``, so their counts are
+those of a per-window loop at a fraction of its time.
 
 The fbas matcher keeps Horspool's bad-character shift rule untouched
 and changes only the verification order inside a window: the pattern's
@@ -31,7 +34,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from itertools import repeat
-from operator import length_hint
 
 from ._bytes import as_bytes, byte_value
 from .errors import EmptyCorpus, EmptyPattern, InvalidProbability
@@ -39,7 +41,11 @@ from .freq import AnchorSelection, FrequencyTable, select_anchor
 
 
 class Mode(enum.Enum):
-    """Stop at the first match, or enumerate all (including overlapping)."""
+    """Stop at the first match, or enumerate all (including overlapping).
+
+    FIRST_MATCH searches the text up to the end of the first occurrence,
+    as ``bytes.find`` finds it, and counts as ALL_MATCHES over that prefix.
+    """
 
     FIRST_MATCH = "first"
     ALL_MATCHES = "all"
@@ -52,7 +58,8 @@ class SearchQuery:
     Strings are coerced to UTF-8 bytes and a mode given by its value
     (``"first"``, ``"all"``) to its ``Mode``; any other mode raises
     ValueError. The pattern must be non-empty; the text may be shorter
-    than the pattern, in which case searches return an empty outcome.
+    than the pattern, in which case searches return an empty outcome. A
+    FIRST_MATCH search reads the text up to the first match's end only.
     """
 
     text: bytes
@@ -107,6 +114,13 @@ def build_shift_table(pattern) -> list[int]:
     return shifts
 
 
+def _end(query: SearchQuery) -> int:
+    """The text's length, or in FIRST_MATCH the end of the first match, if any."""
+    if query.mode is Mode.FIRST_MATCH and (first := query.text.find(query.pattern)) >= 0:
+        return first + len(query.pattern)
+    return len(query.text)
+
+
 def naive_search(query: SearchQuery) -> SearchOutcome:
     """Check every window left to right; the correctness oracle for the rest.
 
@@ -122,12 +136,10 @@ def naive_search(query: SearchQuery) -> SearchOutcome:
     verified in Python. The counts do not depend on where it stops.
     """
     text, pat = query.text, query.pattern
-    n, m = len(text), len(pat)
-    if n < m:
+    m = len(pat)
+    last = _end(query) - m  # the last window examined
+    if last < 0:
         return SearchOutcome()
-    last = n - m  # the last window examined: the first match, if any, in FIRST_MATCH
-    if query.mode is Mode.FIRST_MATCH and (first := text.find(pat)) >= 0:
-        last = first
     positions: list[int] = []
     lcp_sum = 0
     for h in range(1, m + 1):
@@ -205,10 +217,9 @@ def kmp_search(query: SearchQuery) -> SearchOutcome:
     read at state 0. The counts are those of a per-byte loop.
     """
     text, pat = query.text, query.pattern
-    n, m = len(text), len(pat)
+    n, m = _end(query), len(pat)
     if n < m:
         return SearchOutcome()
-    first_only = query.mode is Mode.FIRST_MATCH
     fail = _failure_function(pat)
     top = pat.find(pat[:1], 1)  # where pat[0] first recurs
     top = m if top < 0 else top
@@ -245,8 +256,6 @@ def kmp_search(query: SearchQuery) -> SearchOutcome:
             continue
         if j == m:
             positions.append(i - m)
-            if first_only:
-                break
             j = fail[j - 1]
             if j and i < n:
                 moves += 1
@@ -272,22 +281,20 @@ def _horspool_walk(
     ``a``. The shift comes from that byte alone, so the window sequence
     depends on the text and pattern, never on the order.
 
-    Every shift is at most m, so from ``a`` the next
-    ``(stop - a) // m`` windows (at least one) all start before
-    ``stop``. They run as one block, with no bound test and no count per
-    window, over ``repeat(None, block)``, which yields the same object
-    each time where ``range`` makes a new int for every window past the
-    256th (CPython caches only small ints). The block is counted when
-    it ends; when FIRST_MATCH stops inside it,
-    ``block - length_hint(windows)`` counts it up to the matching
-    window. Two copies of the block differ only
-    in how a window reads its bytes. When the first test is on the
-    shift byte (``back == 0``: always for bmh), the byte is read once
-    and serves both the test and the shift. Otherwise the shift byte is
-    read through a zero-copy view of the text that starts ``back`` bytes
-    in, so no window adds ``back``. Each copy verifies its hits in
-    place: ending the block at every hit and verifying once after it
-    made the walk 1.5 times slower on 2- and 4-letter text.
+    Every shift is at most m, so from ``a`` the next ``(stop - a) // m``
+    windows (at least one) all start before ``stop``, ``back`` bytes
+    short of where the search stops reading. They run as one block, with
+    no bound test and no count per window, over ``repeat(None, block)``,
+    which yields the same object each time where ``range`` makes a new
+    int for every window past the 256th (CPython caches only small ints).
+    The block is counted when it ends. Two copies of the block differ
+    only in how a window reads its bytes. When the first test is on the
+    shift byte (``back == 0``: always for bmh), the byte is read once and
+    serves both the test and the shift. Otherwise the shift byte is read
+    through a zero-copy view of the text that starts ``back`` bytes in,
+    so no window adds ``back``. Each copy verifies its hits in place:
+    ending the block at every hit and verifying once after it made the
+    walk 1.5 times slower on 2- and 4-letter text.
 
     A hit tests the order's second index inline, then walks the rest as
     (offset from ``a``, pattern byte, rank) triples built once per call,
@@ -297,7 +304,6 @@ def _horspool_walk(
     it holds on every hit and is never charged.
     """
     text, pat = query.text, query.pattern
-    first_only = query.mode is Mode.FIRST_MATCH
     shifts = build_shift_table(pat)
     m = len(pat)
     first = order[0]
@@ -310,12 +316,11 @@ def _horspool_walk(
     positions: list[int] = []
     alignments = hits = extra = 0
 
-    a, stop = first, len(text) - back
+    a, stop = first, _end(query) - back
     while a < stop:
         block = (stop - a) // m or 1  # every shift is at most m
-        windows = repeat(None, block)
         if back:
-            for _ in windows:
+            for _ in repeat(None, block):
                 if text[a] == first_byte:
                     hits += 1
                     if text[a + second_offset] != second_byte:
@@ -328,12 +333,9 @@ def _horspool_walk(
                         else:
                             extra += m - 1
                             positions.append(a - first)
-                            if first_only:
-                                alignments += block - length_hint(windows)
-                                return positions, alignments + extra, alignments, hits
                 a += shifts[shift_bytes[a]]
         else:
-            for _ in windows:
+            for _ in repeat(None, block):
                 c = text[a]
                 if c == first_byte:
                     hits += 1
@@ -347,9 +349,6 @@ def _horspool_walk(
                         else:
                             extra += m - 1
                             positions.append(a - first)
-                            if first_only:
-                                alignments += block - length_hint(windows)
-                                return positions, alignments + extra, alignments, hits
                 a += shifts[c]
         alignments += block
 

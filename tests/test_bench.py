@@ -101,6 +101,9 @@ class TestLoadPatterns:
         path = tmp_path / "p.txt"
         path.write_bytes(b"foo\r\nbar\r\n")
         assert load_patterns(path) == (b"foo", b"bar")
+        # Only the CR of a CRLF ending is dropped.
+        path.write_bytes(b"ab\r\r\nx\r\n")
+        assert load_patterns(path) == (b"ab\r", b"x")
 
     def test_leading_byte_order_mark_dropped(self, tmp_path):
         path = tmp_path / "p.txt"
@@ -295,6 +298,17 @@ class TestRenderReport:
         assert [line.split(" | ")[0] for line in markdown[4:7]] == [
             "| x\\x09y", "| b\\x0dc", "| \\x7f\\x1b"
         ]
+
+    def test_unicode_line_breaks_keep_one_line_per_row(self):
+        # str.splitlines also breaks on U+0085, U+2028 and U+2029.
+        patterns = (b"a\xc2\x85b", b"c\xe2\x80\xa8d", b"\xe2\x80\xa9", b"zz")
+        report = run_benchmark(Corpus(b" ".join(patterns), "tiny"), patterns)
+        assert [r.label for r in report.rows] == [
+            "a\\xc2\\x85b", "c\\xe2\\x80\\xa8d", "\\xe2\\x80\\xa9", "zz"
+        ]
+        for format, lines in ((ReportFormat.TEXT, 3 + 4 + 2), (ReportFormat.MARKDOWN, 4 + 4 + 1)):
+            out = render_report(report, format)
+            assert len(out.splitlines()) == out.count("\n") == lines, format
 
     def test_text_layout_columns(self):
         report = report_from_counts([r[:6] for r in KNOWN_BENCHMARK_ROWS])

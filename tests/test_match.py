@@ -3,7 +3,7 @@ import itertools
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fbas import (
@@ -330,10 +330,12 @@ class TestOracleEquivalence:
 
 
 def horspool_blocks(query: SearchQuery) -> list[tuple[int, list[int]]]:
-    """The Horspool walk's windows grouped into its blocks, as
-    ``(planned size, window positions)``: a block that starts at window
-    position w plans ``(n - m + 1 - w) // m`` windows, at least one. A
-    FIRST_MATCH walk can end a block early."""
+    """The Horspool walk's windows grouped into the blocks of a walk over
+    the whole text, as ``(planned size, window positions)``: a block that
+    starts at window position w plans ``(n - m + 1 - w) // m`` windows,
+    at least one. In FIRST_MATCH the windows end at the first match, which
+    can lie inside such a block; the walk itself plans its blocks up to
+    the end of that match."""
     n, m = len(query.text), len(query.pattern)
     positions = [pos for pos, _, _ in per_window_horspool_walk(query)[1]]
     blocks = []
@@ -480,6 +482,26 @@ class TestSkipLoop:
         assert peak < 64 * 1024
         assert (outcome.comparisons, outcome.alignments) == (len(query.text) + 1, len(query.text))
 
+    def test_first_match_copies_no_text(self):
+        # FIRST_MATCH bounds the text it reads instead of slicing it, with
+        # the only match at the end of a 1 MB text, with no match, and with
+        # a match followed by 1 MB more: slicing bytes at their own end
+        # copies nothing, so only the last case catches a slice. The
+        # pattern shares no byte with the base text, so every shift is m.
+        base, pattern = b"selva oscura " * 80_000, b"NEL-MEZZO-DEL-CAMMIN-" * 3
+        for text, positions in ((base + pattern, [len(base)]), (base, []),
+                                (base + pattern + base, [len(base)])):
+            query = SearchQuery(text, pattern, FIRST)
+            for matcher in (naive_search, kmp_search, bmh_search, fbas_search):
+                tracemalloc.start()
+                try:
+                    outcome = matcher(query)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak < 64 * 1024, matcher.__name__
+                assert outcome.positions == positions
+
     def test_edge_cases_reach_their_boundaries(self):
         # The cases above hit what their ids say: the walk ends with the
         # window end exactly on n, the last window's first test hits but
@@ -564,9 +586,9 @@ class TestSkipLoop:
 
 class TestFirstMatchCut:
     """FIRST_MATCH is ALL_MATCHES over the text cut after the first match,
-    for every matcher, though each stops its own way: naive bounds its
-    last window, KMP breaks out of its scan and the Horspool walk returns
-    from inside its block."""
+    for every matcher, by construction: each reads the text only up to
+    the bound that one function decides, the end of the first match
+    as ``bytes.find`` finds it."""
 
     def assert_first_is_cut_all(self, text, pattern):
         p = text.find(pattern)
@@ -577,6 +599,12 @@ class TestFirstMatchCut:
 
     @given(search_cases())
     @settings(max_examples=300)
+    @example((b"abcab", b"ab"))  # a match at 0
+    @example((b"abababac", b"abac"))  # the only match is in the last window
+    @example((b"aaaa", b"aa"))  # a second match overlaps the first
+    @example((b"abcabc", b"abd"))  # the pattern is absent
+    @example((b"ab", b"abc"))  # n < m
+    @example((b"xyxzxz", b"z"))  # m = 1
     def test_short_texts(self, case):
         self.assert_first_is_cut_all(*case)
 
