@@ -4,8 +4,8 @@ The whole library operates on raw bytes: positions are byte offsets and
 every comparison is a byte-equality test. Strings are accepted at the API
 boundary and encoded as UTF-8.
 """
+import os
 import sys
-from pathlib import Path
 
 from .errors import IoFailure
 
@@ -57,7 +57,9 @@ def read_source(source, what: str) -> tuple[bytes, str]:
             data = sys.stdin.buffer.read()
             name = "<stdin>"
         else:
-            data = Path(source).read_bytes()
+            # fspath rejects an int, which open would take as a file descriptor.
+            with open(os.fspath(source), "rb") as fh:
+                data = fh.read()
             name = str(source)
     except OSError as exc:
         raise IoFailure(f"cannot read {what} from {source}: {exc}") from exc

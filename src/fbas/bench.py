@@ -9,37 +9,34 @@ and JSON forms carry values at full precision for external tooling.
 """
 from __future__ import annotations
 
-import csv
 import enum
 import io
-import json
+from collections import namedtuple
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 
 from ._bytes import as_bytes, display_byte, read_source
+from ._record import Constructed
 from .errors import EmptyCorpus, EmptyPattern, MatcherDisagreement
 from .freq import AnchorSelection, FrequencyTable
 from .match import ALGORITHMS, Mode, SearchQuery, bmh_search, fbas_search, kmp_search, naive_search
-from .metrics import DerivedStats, aggregate_stats, derive_stats, present
+from .metrics import aggregate_stats, derive_stats, present
 
 _UTF8_BOM = b"\xef\xbb\xbf"
 # The characters past ASCII that str.splitlines breaks on, as their UTF-8 bytes.
 _BREAKS = {ord(c): "".join(map(display_byte, c.encode())) for c in "\x85\u2028\u2029"}
 
 
-@dataclass(frozen=True)
-class Corpus:
+class Corpus(Constructed, namedtuple("Corpus", "data source_name")):
     """Raw corpus bytes plus provenance; a ``str`` is coerced to UTF-8.
     Raises EmptyCorpus when there are no bytes."""
 
-    data: bytes
-    source_name: str = "<memory>"
+    __slots__ = ()
 
-    def __post_init__(self):
-        data = as_bytes(self.data)
+    def __new__(cls, data, source_name: str = "<memory>"):
+        data = as_bytes(data)
         if not data:
-            raise EmptyCorpus(f"corpus {self.source_name} is empty")
-        object.__setattr__(self, "data", data)
+            raise EmptyCorpus(f"corpus {source_name} is empty")
+        return tuple.__new__(cls, (data, source_name))
 
     @property
     def length(self) -> int:
@@ -69,8 +66,8 @@ def load_patterns(source) -> tuple[bytes, ...]:
     return tuple(line for line in lines if line and not line.startswith(b"#"))
 
 
-@dataclass(frozen=True)
-class BenchRow:
+class BenchRow(Constructed, namedtuple(
+        "BenchRow", "pattern counts occurrences anchor duplicate stats")):
     """Comparison counts for one pattern, as measured, with ``stats``
     derived from the counts and ``length`` and ``label`` from the
     pattern. ``counts`` maps each matcher name to its count, in
@@ -80,15 +77,16 @@ class BenchRow:
     U+2029 (which ``str.splitlines`` breaks on) as ``\\xNN``, so each
     label names one byte string and fits on one line of a report."""
 
-    pattern: bytes
-    counts: dict[str, int] = field(hash=False)
-    occurrences: int
-    anchor: AnchorSelection
-    duplicate: bool = False
-    stats: DerivedStats = field(init=False)
+    __slots__ = ()
+    _derived = ("stats",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "stats", derive_stats(**self.counts))
+    def __new__(cls, pattern: bytes, counts: dict[str, int], occurrences: int,
+                anchor: AnchorSelection, duplicate: bool = False):
+        stats = derive_stats(**counts)
+        return tuple.__new__(cls, (pattern, counts, occurrences, anchor, duplicate, stats))
+
+    def __hash__(self):
+        return hash((self.pattern, self.occurrences, self.anchor, self.duplicate, self.stats))
 
     @property
     def length(self) -> int:
@@ -100,8 +98,8 @@ class BenchRow:
         return "".join(display_byte(ord(c)) if c < "\x80" else c for c in text).translate(_BREAKS)
 
 
-@dataclass(frozen=True)
-class BenchReport:
+class BenchReport(Constructed, namedtuple(
+        "BenchReport", "rows source_name corpus_length mode counts stats")):
     """The rows of one run over a corpus. Like a row, the report has
     ``counts``, the row sums in ``ALGORITHMS`` order, and ``stats``,
     aggregated over the rows; both are derived. A mode given by its
@@ -109,20 +107,19 @@ class BenchReport:
     tuple. Rows and reports are hashable: their ``counts`` dicts are
     left out of the hash."""
 
-    rows: tuple[BenchRow, ...]
-    source_name: str
-    corpus_length: int
-    mode: Mode
-    counts: dict[str, int] = field(init=False, hash=False)
-    stats: DerivedStats = field(init=False)
+    __slots__ = ()
+    _derived = ("counts", "stats")
 
-    def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(self.rows))
-        object.__setattr__(self, "mode", Mode(self.mode))
-        counts = {algo: sum(r.counts[algo] for r in self.rows) for algo in ALGORITHMS}
-        stats = aggregate_stats([r.stats for r in self.rows], tuple(counts.values()))
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "stats", stats)
+    def __new__(cls, rows: Iterable[BenchRow], source_name: str, corpus_length: int,
+                mode: Mode | str):
+        rows = tuple(rows)
+        mode = Mode(mode)
+        counts = {algo: sum(r.counts[algo] for r in rows) for algo in ALGORITHMS}
+        stats = aggregate_stats([r.stats for r in rows], tuple(counts.values()))
+        return tuple.__new__(cls, (rows, source_name, corpus_length, mode, counts, stats))
+
+    def __hash__(self):
+        return hash((self.rows, self.source_name, self.corpus_length, self.mode, self.stats))
 
 
 class ReportFormat(enum.Enum):
@@ -250,6 +247,8 @@ def _render_markdown(report: BenchReport) -> str:
 
 
 def _render_csv(report: BenchReport) -> str:
+    import csv
+
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_HEADER.split(","))
@@ -272,6 +271,8 @@ def _render_csv(report: BenchReport) -> str:
 
 
 def _render_json(report: BenchReport) -> str:
+    import json
+
     doc = {
         "corpus_meta": {"source_name": report.source_name, "length": report.corpus_length},
         "mode": report.mode.value,
@@ -287,11 +288,11 @@ def _render_json(report: BenchReport) -> str:
                     "char": r.anchor.char,
                     "score": r.anchor.score,
                 },
-                **vars(r.stats),
+                **r.stats._asdict(),
             }
             for r in report.rows
         ],
-        "totals": {**report.counts, **vars(report.stats)},
+        "totals": {**report.counts, **report.stats._asdict()},
         # Per-pattern series for external plotting of improvements and speedups.
         "series": {
             "patterns": [r.label for r in report.rows],

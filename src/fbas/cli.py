@@ -110,9 +110,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Building the tree takes about 0.6 ms, four fifths of the 0.73 ms a
-# one-pattern bench call on the sample corpus takes (medians on a 2-vCPU
-# x86-64 host, Python 3.11), so every call of main reuses this one.
+# Building the tree takes about as long as a one-pattern bench call on
+# the sample corpus (1.2 ms each, medians on a 2-vCPU x86-64 host,
+# Python 3.11), so every call of main reuses this one.
 _PARSER = build_parser()
 
 # Every argument that names a file to read, as error messages call it.

@@ -9,14 +9,14 @@ before anything else in each window.
 """
 from __future__ import annotations
 
+import os
 import re
-from collections import Counter
-from dataclasses import dataclass, field
-from pathlib import Path
+from collections import Counter, namedtuple
+from collections.abc import Mapping
 from types import MappingProxyType
-from typing import Mapping
 
 from ._bytes import as_bytes, byte_value, display_byte, read_source
+from ._record import Constructed
 from .errors import EmptyCorpus, EmptyPattern
 
 DEFAULT_SCORE = 50
@@ -31,8 +31,7 @@ _RARITY_ORDER = "zjxqkwyvfbghpmduclsnrtio"
 _FOLD = bytes(range(256)).lower()
 
 
-@dataclass(frozen=True)
-class FrequencyTable:
+class FrequencyTable(Constructed, namedtuple("FrequencyTable", "entries name scores")):
     """Immutable mapping from byte values to rarity scores.
 
     Uppercase ASCII keys fold to their lowercase letter; when two keys
@@ -43,28 +42,32 @@ class FrequencyTable:
     have equal ``scores``, which stand in for ``entries`` in the hash.
     """
 
-    entries: Mapping[int, int] = field(hash=False)
-    name: str = "custom"
-    scores: bytes = field(init=False, repr=False, compare=False, hash=True)
+    __slots__ = ()
+    _derived = ("scores",)
 
-    def __post_init__(self):
+    def __new__(cls, entries: Mapping[int, int], name: str = "custom"):
         folded = {}
-        for b, s in self.entries.items():
+        for b, s in entries.items():
             if type(b) is not int or not 0 <= b <= 255:
                 raise ValueError(f"entry key is not a byte: {b!r}")
             if type(s) is not int or not MIN_SCORE <= s <= MAX_SCORE:
                 raise ValueError(f"score for byte {b} is not an integer in 1..50: {s!r}")
             folded[_FOLD[b]] = s
-        object.__setattr__(self, "entries", MappingProxyType(folded))
-        object.__setattr__(self, "scores", bytes(folded.get(f, DEFAULT_SCORE) for f in _FOLD))
+        scores = bytes(folded.get(f, DEFAULT_SCORE) for f in _FOLD)
+        return tuple.__new__(cls, (MappingProxyType(folded), name, scores))
+
+    def __hash__(self):
+        return hash((self.name, self.scores))
+
+    def __repr__(self):
+        return f"{type(self).__name__}(entries={self.entries!r}, name={self.name!r})"
 
     def score(self, c) -> int:
         """Rarity score of a character (str/bytes of length 1, or int 0..255)."""
         return self.scores[byte_value(c)]
 
 
-@dataclass(frozen=True)
-class AnchorSelection:
+class AnchorSelection(namedtuple("AnchorSelection", "index character score")):
     """The pattern position chosen for anchor-first verification.
 
     ``character`` is the pattern byte as written; ``score`` is its
@@ -72,9 +75,7 @@ class AnchorSelection:
     ASCII as itself, any other byte as ``\\xNN``.
     """
 
-    index: int
-    character: int
-    score: int
+    __slots__ = ()
 
     @property
     def char(self) -> str:
@@ -198,4 +199,4 @@ def load_table(source) -> FrequencyTable:
         if not MIN_SCORE <= score <= MAX_SCORE:
             raise ValueError(f"line {lineno}: score {score} out of range 1..50")
         entries[code] = score
-    return FrequencyTable(entries, name=Path(src_name).name)
+    return FrequencyTable(entries, name=os.path.basename(src_name))

@@ -32,8 +32,9 @@ test hits adds what its other tests cost in one step.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import repeat
+from types import SimpleNamespace
 
 from ._bytes import as_bytes, byte_value
 from .errors import EmptyCorpus, EmptyPattern, InvalidProbability
@@ -51,8 +52,7 @@ class Mode(enum.Enum):
     ALL_MATCHES = "all"
 
 
-@dataclass
-class SearchQuery:
+class SearchQuery(SimpleNamespace):
     """A text/pattern pair plus the match mode.
 
     Strings are coerced to UTF-8 bytes and a mode given by its value
@@ -60,22 +60,24 @@ class SearchQuery:
     ValueError. The pattern must be non-empty; the text may be shorter
     than the pattern, in which case searches return an empty outcome. A
     FIRST_MATCH search reads the text up to the first match's end only.
+    A query is mutable and unhashable, and equals any namespace with
+    the same attributes.
     """
 
-    text: bytes
-    pattern: bytes
-    mode: Mode = Mode.ALL_MATCHES
-
-    def __post_init__(self):
-        self.text = as_bytes(self.text)
-        self.pattern = as_bytes(self.pattern)
-        self.mode = Mode(self.mode)
+    def __init__(self, text: bytes | str, pattern: bytes | str,
+                 mode: Mode | str = Mode.ALL_MATCHES):
+        self.text = as_bytes(text)
+        self.pattern = as_bytes(pattern)
+        self.mode = Mode(mode)
         if not self.pattern:
             raise EmptyPattern("pattern must contain at least one byte")
 
+    # SimpleNamespace pickles and copies by calling the class with no
+    # arguments, which __init__ rejects; object's way skips __init__.
+    __reduce__ = object.__reduce__
 
-@dataclass
-class SearchOutcome:
+
+class SearchOutcome(SimpleNamespace):
     """Match positions plus instrumentation for one search.
 
     ``alignments`` counts window positions examined. ``anchor`` is the
@@ -83,14 +85,23 @@ class SearchOutcome:
     ``anchor_hits`` counts the windows where it matched; the other three
     matchers leave them None and 0. For fbas, the
     ``alignments - anchor_hits`` misses cost one comparison each and the
-    hits cost the rest of ``comparisons``.
+    hits cost the rest of ``comparisons``. ``positions`` defaults to a
+    new empty list. Like a query, an outcome is mutable and unhashable.
     """
 
-    positions: list[int] = field(default_factory=list)
-    comparisons: int = 0
-    alignments: int = 0
-    anchor_hits: int = 0
-    anchor: AnchorSelection | None = None
+    def __init__(
+        self,
+        positions: list[int] | None = None,
+        comparisons: int = 0,
+        alignments: int = 0,
+        anchor_hits: int = 0,
+        anchor: AnchorSelection | None = None,
+    ):
+        self.positions = [] if positions is None else positions
+        self.comparisons = comparisons
+        self.alignments = alignments
+        self.anchor_hits = anchor_hits
+        self.anchor = anchor
 
     @property
     def found(self) -> bool:
@@ -400,11 +411,10 @@ def search(
     raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
 
 
-@dataclass(frozen=True)
-class ComparisonEstimate:
+class ComparisonEstimate(namedtuple("ComparisonEstimate", "expected_comparisons")):
     """Expected per-window comparison cost for an anchor-first search."""
 
-    expected_comparisons: float
+    __slots__ = ()
 
 
 def expected_comparisons(match_probability: float, pattern_length: int) -> ComparisonEstimate:

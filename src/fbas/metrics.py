@@ -6,14 +6,14 @@ precision; rounding happens only when a report is rendered.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from decimal import Decimal, ROUND_HALF_UP
+from collections import namedtuple
+from collections.abc import Sequence
 from math import fsum
-from typing import Sequence
 
 
-@dataclass(frozen=True)
-class DerivedStats:
+class DerivedStats(
+    namedtuple("DerivedStats", "improvement_pct speedup_vs_naive reduction_vs_naive_pct")
+):
     """Relative statistics for one benchmark row or for totals.
 
     A ``None`` field marks an undefined value (zero denominator).
@@ -21,9 +21,7 @@ class DerivedStats:
     rendering.
     """
 
-    improvement_pct: float | None
-    speedup_vs_naive: float | None
-    reduction_vs_naive_pct: float | None
+    __slots__ = ()
 
 
 def derive_stats(naive: int, kmp: int, bmh: int, fbas: int) -> DerivedStats:
@@ -73,5 +71,7 @@ def present(value: float | None) -> str:
     away from zero and a '%' sign, 'n/a' when undefined."""
     if value is None:
         return "n/a"
+    from decimal import ROUND_HALF_UP, Decimal
+
     # Decimal of the shortest repr, so 0.575 rounds as written, not as stored.
     return f"{Decimal(repr(value)).quantize(Decimal('0.01'), rounding=ROUND_HALF_UP)}%"
