@@ -14,7 +14,7 @@ import io
 from collections import namedtuple
 from collections.abc import Iterable
 
-from ._bytes import as_bytes, display_byte, read_source
+from ._bytes import as_bytes, read_source
 from ._record import Constructed
 from .errors import EmptyCorpus, EmptyPattern, MatcherDisagreement
 from .freq import AnchorSelection, FrequencyTable
@@ -22,8 +22,8 @@ from .match import ALGORITHMS, Mode, SearchQuery, bmh_search, fbas_search, kmp_s
 from .metrics import aggregate_stats, derive_stats, present
 
 _UTF8_BOM = b"\xef\xbb\xbf"
-# The characters past ASCII that str.splitlines breaks on, as their UTF-8 bytes.
-_BREAKS = {ord(c): "".join(map(display_byte, c.encode())) for c in "\x85\u2028\u2029"}
+_LABEL_ESCAPES = {c: "".join(map("\\x{:02x}".format, chr(c).encode()))
+                  for c in (*range(0x20), 0x7F, 0x85, 0x2028, 0x2029)}
 
 
 class Corpus(Constructed, namedtuple("Corpus", "data source_name")):
@@ -72,10 +72,10 @@ class BenchRow(Constructed, namedtuple(
     derived from the counts and ``length`` and ``label`` from the
     pattern. ``counts`` maps each matcher name to its count, in
     ``ALGORITHMS`` order. ``label`` is the pattern as UTF-8 text, with a
-    backslash written as ``\\\\``, and a control byte (0x00-0x1f, 0x7f),
-    any other byte that is not UTF-8 and each byte of U+0085, U+2028 and
-    U+2029 (which ``str.splitlines`` breaks on) as ``\\xNN``, so each
-    label names one byte string and fits on one line of a report."""
+    backslash written as ``\\\\``, a byte that is not UTF-8 as ``\\xNN``,
+    and a control character (0x00-0x1f, 0x7f), U+0085, U+2028 or U+2029
+    (which ``str.splitlines`` breaks on) as one ``\\xNN`` per UTF-8 byte,
+    so each label names one byte string and fits on one line of a report."""
 
     __slots__ = ()
     _derived = ("stats",)
@@ -95,7 +95,7 @@ class BenchRow(Constructed, namedtuple(
     @property
     def label(self) -> str:
         text = self.pattern.replace(b"\\", b"\\\\").decode("utf-8", "backslashreplace")
-        return "".join(display_byte(ord(c)) if c < "\x80" else c for c in text).translate(_BREAKS)
+        return text.translate(_LABEL_ESCAPES)
 
 
 class BenchReport(Constructed, namedtuple(

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from itertools import chain
 
 from ._bytes import read_source
 from .bench import ReportFormat, load_corpus, load_patterns, render_report, run_benchmark
@@ -23,7 +24,7 @@ def _resolve_table(args):
     return load_table(args.freq_table) if args.freq_table else None
 
 
-def _cmd_search(args) -> int:
+def _cmd_search(args):
     data, _ = read_source(args.input, "input")
     if args.lowercase:
         data = data.lower()
@@ -31,41 +32,36 @@ def _cmd_search(args) -> int:
     mode = Mode.ALL_MATCHES if args.all else Mode.FIRST_MATCH
     query = SearchQuery(data, args.pattern, mode)
     outcome = search(query, algorithm=args.algo, table=table)
-    for pos in outcome.positions:
-        print(pos)
+    lines = map("{}\n".format, outcome.positions)
     if args.stats:
-        print(f"comparisons: {outcome.comparisons}")
-        print(f"alignments: {outcome.alignments}")
-        sel = outcome.anchor
-        if sel is not None:
-            print(f"anchor hits: {outcome.anchor_hits}")
-            print(f"anchor: '{sel.char}' @ {sel.index} (score {sel.score})")
-    return 0 if outcome.found else 1
+        stats = [f"comparisons: {outcome.comparisons}\n", f"alignments: {outcome.alignments}\n"]
+        if (sel := outcome.anchor) is not None:
+            stats.append(f"anchor hits: {outcome.anchor_hits}\n")
+            stats.append(f"anchor: '{sel.char}' @ {sel.index} (score {sel.score})\n")
+        lines = chain(lines, stats)
+    return (0 if outcome.found else 1), lines
 
 
-def _cmd_anchor(args) -> int:
+def _cmd_anchor(args):
     sel = select_anchor(args.pattern, _resolve_table(args))
-    print(f"index={sel.index} char={sel.char} score={sel.score}")
-    return 0
+    return 0, [f"index={sel.index} char={sel.char} score={sel.score}\n"]
 
 
-def _cmd_table(args) -> int:
+def _cmd_table(args):
     if args.from_corpus:
         corpus = load_corpus(args.from_corpus)
         table = table_from_corpus(corpus.data, name=corpus.source_name)
     else:
         table = default_table()
-    sys.stdout.writelines(format_table(table).splitlines(keepends=True))
-    return 0
+    return 0, format_table(table).splitlines(keepends=True)
 
 
-def _cmd_bench(args) -> int:
+def _cmd_bench(args):
     corpus = load_corpus(args.corpus, lowercase=args.lowercase)
     patterns = load_patterns(args.patterns)
     mode = Mode.FIRST_MATCH if args.first_match else Mode.ALL_MATCHES
     report = run_benchmark(corpus, patterns, _resolve_table(args), mode)
-    sys.stdout.writelines(render_report(report, args.format).splitlines(keepends=True))
-    return 0
+    return 0, render_report(report, args.format).splitlines(keepends=True)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -129,7 +125,10 @@ def main(argv: list[str] | None = None) -> int:
         stdin = [what for dest, what in _SOURCES.items() if getattr(args, dest, None) == "-"]
         if len(stdin) > 1:
             raise ValueError(f"the {stdin[0]} and the {stdin[1]} cannot both come from stdin")
-        code = args.func(args)
+        code, lines = args.func(args)
+        # The command's lines, one write each: a reader that closes early then
+        # fails a write (exit 141); one large write could lose its tail (exit 0).
+        sys.stdout.writelines(lines)
         sys.stdout.flush()
         return code
     except KeyboardInterrupt:

@@ -62,6 +62,10 @@ class FrequencyTable(Constructed, namedtuple("FrequencyTable", "entries name sco
     def __repr__(self):
         return f"{type(self).__name__}(entries={self.entries!r}, name={self.name!r})"
 
+    def __getnewargs__(self):
+        # Pickle cannot take the entries proxy; the constructor takes a dict.
+        return dict(self.entries), self.name
+
     def score(self, c) -> int:
         """Rarity score of a character (str/bytes of length 1, or int 0..255)."""
         return self.scores[byte_value(c)]
@@ -162,6 +166,8 @@ def load_table(source) -> FrequencyTable:
 
     Format: one entry per line as ``<key><TAB><score>``, UTF-8 (one
     leading byte-order mark is dropped), scores 1..50 in ASCII digits.
+    A line ends at LF, CR LF or CR only, so a comment may hold any
+    other character.
     A key is one ASCII character or a byte written as ``\\xNN`` (two
     hex digits). Non-ASCII characters are rejected: a table scores
     single bytes, and the UTF-8 bytes of such a character would never
@@ -177,7 +183,7 @@ def load_table(source) -> FrequencyTable:
         raise ValueError(f"frequency table {src_name} is not UTF-8: {exc}") from exc
 
     entries: dict[int, int] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(re.split(r"\r\n?|\n", text), start=1):
         if not line or line.startswith("#"):
             continue
         key, sep, score_text = line.partition("\t")

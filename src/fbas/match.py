@@ -132,6 +132,11 @@ def _end(query: SearchQuery) -> int:
     return len(query.text)
 
 
+# naive_search stops counting at a level that at most one window in
+# 2**_SPARSE_SHIFT starts with.
+_SPARSE_SHIFT = 8
+
+
 def naive_search(query: SearchQuery) -> SearchOutcome:
     """Check every window left to right; the correctness oracle for the rest.
 
@@ -156,7 +161,7 @@ def naive_search(query: SearchQuery) -> SearchOutcome:
     for h in range(1, m + 1):
         windows = text.count(pat[:h], 0, last + h)
         lcp_sum += windows
-        if h == m or pat[h] == pat[0] or windows <= last >> 8:
+        if h == m or pat[h] == pat[0] or windows <= last >> _SPARSE_SHIFT:
             break
 
     if windows:

@@ -21,6 +21,7 @@ from fbas import (
     SearchQuery,
     derive_stats,
     fbas_search,
+    kmp_search,
     load_corpus,
     load_patterns,
     render_report,
@@ -246,6 +247,17 @@ class TestRunBenchmark:
         with pytest.raises(MatcherDisagreement) as exc_info:
             run_benchmark(Corpus(b"aaaa", "tiny"), (b"aa",))
         assert exc_info.value.first_difference == 0
+
+    def test_disagreement_on_a_dropped_last_position(self, monkeypatch):
+        def kmp_drops_the_last(query):
+            outcome = kmp_search(query)
+            outcome.positions.pop()
+            return outcome
+
+        monkeypatch.setattr(bench_module, "kmp_search", kmp_drops_the_last)
+        with pytest.raises(MatcherDisagreement, match=r"first differing position: 2\)$") as exc_info:
+            run_benchmark(Corpus(b"aaaa", "tiny"), (b"aa",))
+        assert exc_info.value.first_difference == 2
 
     def test_deterministic_csv(self, fixture_corpus, fixture_patterns):
         first = render_report(run_benchmark(fixture_corpus, fixture_patterns), ReportFormat.CSV)

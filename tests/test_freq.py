@@ -83,6 +83,12 @@ class TestFrequencyTable:
         with pytest.raises(ValueError, match="is not an integer in 1..50"):
             FrequencyTable({ord("a"): score})
 
+    def test_score_of_what_is_not_one_byte_rejected(self):
+        with pytest.raises(ValueError, match="byte value out of range: 256"):
+            default_table().score(256)
+        with pytest.raises(ValueError, match="expected a single byte, got 2 bytes"):
+            default_table().score("ab")
+
     def test_uppercase_key_scores_its_lowercase_letter(self):
         table = FrequencyTable({ord("Z"): 1})
         assert dict(table.entries) == {ord("z"): 1}
@@ -195,6 +201,13 @@ class TestTableFiles:
         table = load_table(io.StringIO("# comment\n\nq\t4\n"))
         assert dict(table.entries) == {ord("q"): 4}
         assert table.score("z") == 50
+
+    @pytest.mark.parametrize("inside", ["\u2028", "\f"])
+    def test_a_line_ends_only_at_lf_cr_lf_or_cr(self, inside):
+        head = f"# a{inside}b\nz\t1\r\nq\t2\r"
+        assert dict(load_table(io.BytesIO(head.encode())).entries) == {ord("z"): 1, ord("q"): 2}
+        with pytest.raises(ValueError, match="^line 4: score 0 out of range"):
+            load_table(io.BytesIO(f"{head}x\t0\n".encode()))
 
     def test_load_from_path(self, tmp_path):
         path = tmp_path / "custom.tsv"

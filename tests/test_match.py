@@ -745,6 +745,10 @@ class TestSearchDispatch:
             with pytest.raises(ValueError):
                 SearchQuery(b"abab", b"ab", mode)
 
+    def test_text_that_is_not_text_rejected_at_query(self):
+        with pytest.raises(TypeError, match="expected str or bytes, got int"):
+            SearchQuery(1, "a")
+
 
 class TestEstimator:
     def test_extremes_and_midpoint(self):

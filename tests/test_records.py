@@ -82,7 +82,7 @@ class TestFrozen:
         table = default_table()
         assert repr(table) == f"FrequencyTable(entries={table.entries!r}, name='default')"
 
-    @pytest.mark.parametrize("kind", ("report", "row", "anchor", "stats", "estimate", "corpus"))
+    @pytest.mark.parametrize("kind", KINDS)
     def test_pickle_and_copy_round_trip(self, report, kind):
         record = frozen(report)[kind]
         for again in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
