@@ -1,8 +1,9 @@
-"""Byte coercion and input helpers.
+"""Byte coercion, input helpers, and the one way bytes are printed.
 
 The whole library operates on raw bytes: positions are byte offsets and
 every comparison is a byte-equality test. Strings are accepted at the API
-boundary and encoded as UTF-8.
+boundary and encoded as UTF-8. Wherever the package prints bytes (labels,
+anchors, table keys, report captions, error messages) it prints ``show``.
 """
 import os
 import sys
@@ -33,11 +34,17 @@ def byte_value(c) -> int:
     return b[0]
 
 
-def display_byte(b: int) -> str:
-    """Printable form of a byte for reports: the character itself, or an escape."""
-    if 0x20 <= b < 0x7F:
-        return chr(b)
-    return f"\\x{b:02x}"
+ESCAPES = {c: "".join(map("\\x{:02x}".format, chr(c).encode()))
+           for c in (*range(0x20), 0x7F, 0x85, 0x2028, 0x2029)}
+
+
+def show(data: bytes) -> str:
+    """The bytes as UTF-8 text, with a backslash written as ``\\\\``, a
+    byte that is not UTF-8 as ``\\xNN``, and each character of
+    ``ESCAPES`` (0x00-0x1f, 0x7f, U+0085, U+2028, U+2029: what
+    ``str.splitlines`` breaks on) as one ``\\xNN`` per UTF-8 byte. The
+    result fits on one line and names exactly one byte string."""
+    return data.replace(b"\\", b"\\\\").decode("utf-8", "backslashreplace").translate(ESCAPES)
 
 
 def read_source(source, what: str) -> tuple[bytes, str]:

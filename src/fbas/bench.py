@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import enum
 import io
+import os
 from collections import namedtuple
 from collections.abc import Iterable
 
-from ._bytes import as_bytes, read_source
+from ._bytes import as_bytes, read_source, show
 from ._record import Constructed
 from .errors import EmptyCorpus, EmptyPattern, MatcherDisagreement
 from .freq import AnchorSelection, FrequencyTable
@@ -22,8 +23,6 @@ from .match import ALGORITHMS, Mode, SearchQuery, bmh_search, fbas_search, kmp_s
 from .metrics import aggregate_stats, derive_stats, present
 
 _UTF8_BOM = b"\xef\xbb\xbf"
-_LABEL_ESCAPES = {c: "".join(map("\\x{:02x}".format, chr(c).encode()))
-                  for c in (*range(0x20), 0x7F, 0x85, 0x2028, 0x2029)}
 
 
 class Corpus(Constructed, namedtuple("Corpus", "data source_name")):
@@ -71,11 +70,8 @@ class BenchRow(Constructed, namedtuple(
     """Comparison counts for one pattern, as measured, with ``stats``
     derived from the counts and ``length`` and ``label`` from the
     pattern. ``counts`` maps each matcher name to its count, in
-    ``ALGORITHMS`` order. ``label`` is the pattern as UTF-8 text, with a
-    backslash written as ``\\\\``, a byte that is not UTF-8 as ``\\xNN``,
-    and a control character (0x00-0x1f, 0x7f), U+0085, U+2028 or U+2029
-    (which ``str.splitlines`` breaks on) as one ``\\xNN`` per UTF-8 byte,
-    so each label names one byte string and fits on one line of a report."""
+    ``ALGORITHMS`` order. ``label`` is ``show(pattern)``: it names one
+    byte string and fits on one line of a report."""
 
     __slots__ = ()
     _derived = ("stats",)
@@ -94,8 +90,7 @@ class BenchRow(Constructed, namedtuple(
 
     @property
     def label(self) -> str:
-        text = self.pattern.replace(b"\\", b"\\\\").decode("utf-8", "backslashreplace")
-        return text.translate(_LABEL_ESCAPES)
+        return show(self.pattern)
 
 
 class BenchReport(Constructed, namedtuple(
@@ -175,7 +170,7 @@ def run_benchmark(
             if outcome.positions != reference.positions:
                 where = _first_difference(reference.positions, outcome.positions)
                 raise MatcherDisagreement(
-                    f"{algo} disagrees with naive for pattern {pat!r}"
+                    f"{algo} disagrees with naive for pattern '{show(pat)}'"
                     f" (first differing position: {where})",
                     pattern=pat,
                     first_difference=where,
@@ -202,7 +197,7 @@ _TABLE_COLUMNS = ("Pattern", "Length", "Naive", "KMP", "BMH", "FBAS", "Improveme
 
 def _caption(report: BenchReport) -> str:
     return (
-        f"corpus: {report.source_name} ({report.corpus_length:,} bytes),"
+        f"corpus: {show(os.fsencode(report.source_name))} ({report.corpus_length:,} bytes),"
         f" mode: {report.mode.value}"
     )
 

@@ -13,7 +13,7 @@ import os
 import sys
 from itertools import chain
 
-from ._bytes import read_source
+from ._bytes import ESCAPES, read_source
 from .bench import ReportFormat, load_corpus, load_patterns, render_report, run_benchmark
 from .errors import FbasError
 from .freq import default_table, format_table, load_table, select_anchor, table_from_corpus
@@ -118,10 +118,9 @@ _SOURCES = {"input": "input", "corpus": "corpus", "patterns": "patterns",
 
 def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
-    if sys.stdout is None:
-        print("error: cannot write output: stdout is closed", file=sys.stderr)
-        return 2
     try:
+        if sys.stdout is None:
+            raise FbasError("cannot write output: stdout is closed")
         stdin = [what for dest, what in _SOURCES.items() if getattr(args, dest, None) == "-"]
         if len(stdin) > 1:
             raise ValueError(f"the {stdin[0]} and the {stdin[1]} cannot both come from stdin")
@@ -141,12 +140,10 @@ def main(argv: list[str] | None = None) -> int:
         os.close(devnull)
         if isinstance(exc, BrokenPipeError):
             return 141
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return 2
+        message = f"cannot write output: {exc}"
     except (FbasError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+        message = str(exc)
+    # One line per error, also when a file name holds a line break. A message
+    # is text, not a byte string, so its backslashes are not doubled.
+    print(f"error: {message.translate(ESCAPES)}", file=sys.stderr)
+    return 2

@@ -15,7 +15,7 @@ from collections import Counter, namedtuple
 from collections.abc import Mapping
 from types import MappingProxyType
 
-from ._bytes import as_bytes, byte_value, display_byte, read_source
+from ._bytes import as_bytes, byte_value, read_source, show
 from ._record import Constructed
 from .errors import EmptyCorpus, EmptyPattern
 
@@ -75,15 +75,16 @@ class AnchorSelection(namedtuple("AnchorSelection", "index character score")):
     """The pattern position chosen for anchor-first verification.
 
     ``character`` is the pattern byte as written; ``score`` is its
-    table score. ``char`` shows the byte as every report does: printable
-    ASCII as itself, any other byte as ``\\xNN``.
+    table score. ``char`` is the byte as ``show`` prints it: printable
+    ASCII as itself, a backslash as ``\\\\`` and any other byte as
+    ``\\xNN``.
     """
 
     __slots__ = ()
 
     @property
     def char(self) -> str:
-        return display_byte(self.character)
+        return show(bytes((self.character,)))
 
 
 _DEFAULT_ENTRIES = {ord(ch): i + 1 for i, ch in enumerate(_RARITY_ORDER)}
@@ -137,10 +138,8 @@ def select_anchor(pattern, table: FrequencyTable | None = None) -> AnchorSelecti
 
 
 def _file_key(b: int) -> str:
-    # '#' would read as a comment, so it is escaped like the non-printable bytes.
-    if b == 0x23:
-        return "\\x23"
-    return display_byte(b)
+    # '#' would read as a comment, and a key is one character or one escape.
+    return f"\\x{b:02x}" if b in b"#\\" else show(bytes((b,)))
 
 
 def format_table(table: FrequencyTable) -> str:
@@ -148,8 +147,8 @@ def format_table(table: FrequencyTable) -> str:
     line per entry, ordered by ascending score then byte value.
 
     Printable ASCII bytes are written as themselves; control bytes,
-    non-ASCII bytes and '#' as ``\\xNN``, so that ``load_table`` gives
-    back exactly the same entries.
+    non-ASCII bytes, '#' and '\\' as ``\\xNN``, so that ``load_table``
+    gives back exactly the same entries.
     """
     lines = [
         f"{_file_key(b)}\t{s}"

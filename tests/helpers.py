@@ -1,9 +1,11 @@
 """Shared test helpers: an independent match oracle, the per-window
-reference matchers and a CLI runner."""
+reference matchers, the inverse of the printed byte form and a CLI
+runner."""
 from __future__ import annotations
 
 import contextlib
 import io
+import re
 import sys
 from collections.abc import Sequence
 
@@ -176,6 +178,18 @@ def per_window_horspool_walk(
         anchor=anchor,
     )
     return outcome, windows
+
+
+def unshow(text: str) -> bytes:
+    """The bytes that ``fbas._bytes.show`` printed as ``text``: ``\\\\`` is
+    a backslash, ``\\xNN`` the byte NN, and any other character its
+    UTF-8 bytes."""
+    return b"".join(
+        b"\\" if token == "\\\\"
+        else bytes.fromhex(token[2:]) if token.startswith("\\x")
+        else token.encode()
+        for token in re.findall(r"\\\\|\\x[0-9a-f]{2}|.", text, re.DOTALL)
+    )
 
 
 def run_cli(argv: list[str], stdin: bytes = b"") -> tuple[int, str, str]:

@@ -4,6 +4,8 @@ import json
 import re
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import fbas.bench as bench_module
 import fbas.metrics as metrics_module
@@ -28,8 +30,9 @@ from fbas import (
     run_benchmark,
     select_anchor,
 )
+from fbas._bytes import ESCAPES, show
 from fbas.bench import CSV_HEADER, BenchRow
-from helpers import KNOWN_BENCHMARK_ROWS
+from helpers import KNOWN_BENCHMARK_ROWS, unshow
 
 
 def report_from_counts(rows, corpus_name="reference", corpus_length=551846):
@@ -259,10 +262,28 @@ class TestRunBenchmark:
             run_benchmark(Corpus(b"aaaa", "tiny"), (b"aa",))
         assert exc_info.value.first_difference == 2
 
+    def test_disagreement_message_quotes_the_label(self, monkeypatch):
+        monkeypatch.setattr(bench_module, "kmp_search", lambda query: SearchOutcome())
+        with pytest.raises(MatcherDisagreement) as exc_info:
+            run_benchmark(Corpus(b"a\nb\xff", "tiny"), (b"a\nb\xff",))
+        assert str(exc_info.value) == (
+            "kmp disagrees with naive for pattern 'a\\x0ab\\xff' (first differing position: 0)"
+        )
+
     def test_deterministic_csv(self, fixture_corpus, fixture_patterns):
         first = render_report(run_benchmark(fixture_corpus, fixture_patterns), ReportFormat.CSV)
         second = render_report(run_benchmark(fixture_corpus, fixture_patterns), ReportFormat.CSV)
         assert first == second
+
+
+class TestShow:
+    @given(st.binary())
+    @example("a\u0085b\u2028c\u2029\\x0a".encode())
+    def test_one_line_that_names_the_bytes(self, data):
+        text = show(data)
+        assert not any(chr(c) in text for c in ESCAPES)
+        assert len(text.splitlines()) <= 1
+        assert unshow(text) == data
 
 
 class TestRenderReport:

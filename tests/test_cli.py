@@ -268,6 +268,23 @@ class TestBench:
         assert out == ""
         assert "cannot both come from stdin" in err
 
+    @pytest.mark.parametrize(
+        "name,shown", [(b"a\nb.txt", "a\\x0ab.txt"), (b"c\xff.txt", "c\\xff.txt")],
+        ids=["line-break", "not-utf8"],
+    )
+    @pytest.mark.parametrize("format", ["text", "markdown"])
+    def test_caption_shows_the_corpus_name_on_one_line(self, tmp_path, name, shown, format):
+        # A strict UTF-8 stdout, as under a UTF-8 locale, cannot take the
+        # surrogate that a byte which is not UTF-8 decodes to in a file name.
+        (tmp_path / os.fsdecode(name)).write_bytes(b"p1 p22")
+        proc = subprocess.run(
+            [sys.executable, "-m", "fbas", "bench", name, PATTERNS, "--format", format],
+            capture_output=True, cwd=tmp_path, timeout=60,
+            env={**_module_env(), "PYTHONIOENCODING": "utf-8:strict"},
+        )
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout.decode().splitlines()[0] == f"corpus: {shown} (6 bytes), mode: all"
+
     def test_unknown_format_is_usage_error(self):
         code, _, _ = run_cli(["bench", CORPUS, PATTERNS, "--format", "xml"])
         assert code == 2
@@ -301,6 +318,21 @@ class TestUsage:
             env=_module_env(), timeout=60, preexec_fn=lambda: os.close(closed),
         )
         assert (proc.returncode, proc.stderr) == (2, message)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["bench", "no\nsuch.txt", PATTERNS], ["bench", "e\nmpty.txt", PATTERNS],
+         ["search", "x", "no\nsuch"]],
+        ids=["missing-corpus", "empty-corpus", "missing-input"],
+    )
+    def test_error_naming_a_line_break_is_one_line(self, tmp_path, monkeypatch, argv):
+        (tmp_path / "e\nmpty.txt").write_bytes(b"")
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+        assert err.splitlines(keepends=True) == [err]
+        assert "\\x0a" in err
 
     def test_parser_is_built_once_per_process(self, monkeypatch):
         def rebuilt():

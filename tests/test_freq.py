@@ -132,6 +132,7 @@ class TestSelectAnchor:
     def test_char_shows_a_byte_as_reports_do(self):
         assert select_anchor("àà").char == "\\xc3"
         assert select_anchor(b"\t").char == "\\x09"
+        assert select_anchor(b"\\").char == "\\\\"
 
     def test_empty_pattern_rejected(self):
         with pytest.raises(EmptyPattern):
@@ -254,7 +255,7 @@ class TestTableFiles:
         assert load_table(io.StringIO("q\t5\nQ\t4\n")).score("q") == 4
         assert load_table(io.StringIO("Q\t4\nq\t5\n")).score("Q") == 5
 
-    @pytest.mark.parametrize("byte", [0x09, 0x0B, 0x1C, 0x85, ord("#")])
+    @pytest.mark.parametrize("byte", [0x09, 0x0B, 0x1C, 0x85, ord("#"), ord("\\")])
     def test_unsafe_bytes_written_escaped(self, byte):
         text = format_table(FrequencyTable({byte: 3}))
         assert text == f"\\x{byte:02x}\t3\n"
