@@ -3,7 +3,8 @@
 The whole library operates on raw bytes: positions are byte offsets and
 every comparison is a byte-equality test. Strings are accepted at the API
 boundary and encoded as UTF-8. Wherever the package prints bytes (labels,
-anchors, table keys, report captions, error messages) it prints ``show``.
+anchors, table keys, report captions) it prints ``show``; error messages
+are text and take only its escape table.
 """
 import os
 import sys
