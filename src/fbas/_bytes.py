@@ -3,8 +3,9 @@
 The whole library operates on raw bytes: positions are byte offsets and
 every comparison is a byte-equality test. Strings are accepted at the API
 boundary and encoded as UTF-8. Wherever the package prints bytes (labels,
-anchors, table keys, report captions) it prints ``show``; error messages
-are text and take only its escape table.
+anchors, table keys, report captions) it prints ``show``, and a file
+name as ``show_name`` (``show`` of its bytes); error messages are text
+and take only the escape table.
 """
 import os
 import sys
@@ -48,12 +49,18 @@ def show(data: bytes) -> str:
     return data.replace(b"\\", b"\\\\").decode("utf-8", "backslashreplace").translate(ESCAPES)
 
 
+def show_name(name: str) -> str:
+    """A file or source name as ``show`` prints the bytes it stands for."""
+    return show(os.fsencode(name))
+
+
 def read_source(source, what: str) -> tuple[bytes, str]:
     """Read all bytes from a path, '-' (stdin), or a readable stream.
 
     Returns the bytes and the source's name: the path, ``<stdin>``, or
     the stream's ``name`` (else ``<stream>``). Text streams are encoded
-    as UTF-8. Raises IoFailure, naming ``what``, when reading fails.
+    as UTF-8. Raises IoFailure, naming ``what``, the source (by
+    ``show_name``) and the system's reason, when reading fails.
     """
     try:
         if hasattr(source, "read"):
@@ -70,5 +77,6 @@ def read_source(source, what: str) -> tuple[bytes, str]:
                 data = fh.read()
             name = str(source)
     except OSError as exc:
-        raise IoFailure(f"cannot read {what} from {source}: {exc}") from exc
+        reason = exc.strerror or exc
+        raise IoFailure(f"cannot read {what} from {show_name(str(source))}: {reason}") from exc
     return as_bytes(data), name

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import enum
 import io
-import os
 from collections import namedtuple
 from collections.abc import Iterable
 
-from ._bytes import as_bytes, read_source, show
+from ._bytes import as_bytes, read_source, show, show_name
 from ._record import Constructed
 from .errors import EmptyCorpus, EmptyPattern, MatcherDisagreement
 from .freq import AnchorSelection, FrequencyTable
@@ -34,7 +33,7 @@ class Corpus(Constructed, namedtuple("Corpus", "data source_name")):
     def __new__(cls, data, source_name: str = "<memory>"):
         data = as_bytes(data)
         if not data:
-            raise EmptyCorpus(f"corpus {source_name} is empty")
+            raise EmptyCorpus(f"corpus {show_name(source_name)} is empty")
         return tuple.__new__(cls, (data, source_name))
 
     @property
@@ -162,7 +161,7 @@ def run_benchmark(
         reference = naive_search(query)
         outcomes = {
             "naive": reference,
-            "kmp": kmp_search(query),
+            "kmp": kmp_search(query, reference),
             "bmh": bmh_search(query),
             "fbas": fbas_search(query, table),
         }
@@ -197,7 +196,7 @@ _TABLE_COLUMNS = ("Pattern", "Length", "Naive", "KMP", "BMH", "FBAS", "Improveme
 
 def _caption(report: BenchReport) -> str:
     return (
-        f"corpus: {show(os.fsencode(report.source_name))} ({report.corpus_length:,} bytes),"
+        f"corpus: {show_name(report.source_name)} ({report.corpus_length:,} bytes),"
         f" mode: {report.mode.value}"
     )
 
@@ -269,7 +268,9 @@ def _render_json(report: BenchReport) -> str:
     import json
 
     doc = {
-        "corpus_meta": {"source_name": report.source_name, "length": report.corpus_length},
+        "corpus_meta": {
+            "source_name": show_name(report.source_name), "length": report.corpus_length,
+        },
         "mode": report.mode.value,
         "rows": [
             {

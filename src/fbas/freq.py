@@ -15,7 +15,7 @@ from collections import Counter, namedtuple
 from collections.abc import Mapping
 from types import MappingProxyType
 
-from ._bytes import as_bytes, byte_value, read_source, show
+from ._bytes import as_bytes, byte_value, read_source, show, show_name
 from ._record import Constructed
 from .errors import EmptyCorpus, EmptyPattern
 
@@ -179,7 +179,7 @@ def load_table(source) -> FrequencyTable:
     try:
         text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        raise ValueError(f"frequency table {src_name} is not UTF-8: {exc}") from exc
+        raise ValueError(f"frequency table {show_name(src_name)} is not UTF-8: {exc}") from exc
 
     entries: dict[int, int] = {}
     for lineno, line in enumerate(re.split(r"\r\n?|\n", text), start=1):

@@ -7,11 +7,13 @@ count every text-byte vs pattern-byte equality test made during the
 search phase. Preprocessing comparisons are not counted. In
 FIRST_MATCH every matcher reads the text only up to the end of the
 first occurrence, as ``bytes.find`` finds it, so its counts are those
-of ALL_MATCHES over that prefix. The naive and KMP matchers count with
-``bytes.count`` the windows or bytes that start with a prefix of the
-pattern in which ``pat[0]`` does not recur, and run Python only from
-that prefix's occurrences, found by ``bytes.find``, so their counts are
-those of a per-window loop at a fraction of its time.
+of ALL_MATCHES over that prefix. The naive matcher counts with
+``bytes.count`` the windows that start with a prefix of the pattern in
+which ``pat[0]`` does not recur, and runs Python only from that
+prefix's occurrences, found by ``bytes.find``. KMP derives its counts
+from naive's and runs Python only where ``pat[0]`` recurs inside a
+partial match. So their counts are those of a per-window loop at a
+fraction of its time.
 
 The fbas matcher keeps Horspool's bad-character shift rule untouched
 and changes only the verification order inside a window: the pattern's
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 import enum
 from collections import namedtuple
-from itertools import repeat
+from itertools import accumulate, repeat
 from types import SimpleNamespace
 
 from ._bytes import as_bytes, byte_value
@@ -196,90 +198,98 @@ def _failure_function(pat: bytes) -> list[int]:
     return fail
 
 
-def _prefix_counts(text: bytes, prefixes: list[bytes], start: int, last: int) -> list[int]:
-    """How many windows starting in ``[start, last]`` begin with each of
-    KMP's ``prefixes`` (``pat[:1]``, ``pat[:2]``, ... short of where
-    ``pat[0]`` first recurs), up to the first that none begins with.
-    Their occurrences cannot overlap, so ``bytes.count`` finds every one.
-    """
-    counts = []
-    for k, prefix in enumerate(prefixes, 1):
-        windows = text.count(prefix, start, last + k)
-        if not windows:
-            break
-        counts.append(windows)
-    return counts
+def _lcp(a: bytes, b: bytes) -> int:
+    """The length of the common prefix of ``a`` and ``b``."""
+    return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
 
 
-def kmp_search(query: SearchQuery) -> SearchOutcome:
-    """Knuth-Morris-Pratt with the classic failure function.
+def kmp_search(query: SearchQuery, naive: SearchOutcome | None = None) -> SearchOutcome:
+    """Knuth-Morris-Pratt with the classic failure function, counted from
+    ``naive``, the outcome of ``naive_search`` on the same query (which
+    it runs when not given).
 
     Only search-phase comparisons are counted; building the failure
-    function is preprocessing. An alignment here is a distinct value of
-    the implicit window start (text index minus pattern index) at which
-    at least one comparison was made. Above state 0 a window start
-    moves, and an alignment is counted, after a mismatch or a full match
-    that leaves a state above 0.
+    function is preprocessing. An alignment is a distinct value of the
+    implicit window start (text index minus pattern index) at which at
+    least one comparison was made: every byte read in state 0, and every
+    fall to a state above 0 that a comparison follows (a move). KMP
+    reads each of the n bytes once in a comparison that moves on, plus
+    one miss per failed partial match above state 0, so
+    ``comparisons = n + misses`` and ``alignments = n - bytes matched
+    above state 0 + moves``.
 
-    ``top`` is where ``pat[0]`` first recurs in the pattern, or m. Whenever
-    the state falls to 0, the scan goes on at the next ``pat[:top]``,
-    found by ``bytes.find``, in state ``top`` just past it. The stretch
-    skipped on the way is charged in bulk. As ``pat[0]`` does not recur
-    in ``pat[1:top]``, each ``pat[0]`` in the stretch starts a partial
-    match that fails inside it, at one miss (unless the text ends
-    first), and no two partial matches overlap. So ``bytes.count`` of
-    ``pat[:l]`` for l >= 2 gives the bytes matched above state 0, and
-    every other byte of the stretch is one comparison at a new alignment,
-    read at state 0. The counts are those of a per-byte loop.
+    A region starts at each ``pat[:K]`` that KMP reads in state 0, where
+    K is where ``pat[0]`` first recurs (m if it does not), and ends where
+    the state falls back to 0. It is replayed byte by byte, which gives
+    its misses, moves and matched bytes, and the common prefix with the
+    pattern of every window that starts in it: the windows KMP skips
+    after a window it matched j bytes of have ``lcp(pat[d:], pat)``, for
+    d below ``j - fail[j - 1]``. When K = m the regions are the matches.
+    Outside them ``pat[0]`` does not recur in a partial match, so each
+    ``pat[0]`` starts one that fails at one miss (unless the text ends
+    first), having matched its window's lcp; naive's counts give the sum
+    of those over windows 0..n-m, ``comparisons - alignments + matches``,
+    and the few ``pat[0]`` after n-m are scanned.
     """
     text, pat = query.text, query.pattern
     n, m = _end(query), len(pat)
     if n < m:
         return SearchOutcome()
-    fail = _failure_function(pat)
-    top = pat.find(pat[:1], 1)  # where pat[0] first recurs
-    top = m if top < 0 else top
-    head = pat[:top]
-    partials = [pat[:k] for k in range(1, top)]  # all a stretch can hold of the pattern
-    positions: list[int] = []
-    scanned = misses = moves = 0
+    if naive is None:
+        naive = naive_search(query)
+    positions, last = naive.positions, n - m
+    top = pat.find(pat[:1], 1)  # K, or -1 for K = m
+    # Over the regions: pat[0]s, bytes past the first, the lcp of each
+    # window up to last, misses, moves, and those that reach past last.
+    spans = []
+    if top < 0:  # each match is a region, with one pat[0] and no miss or move
+        heads = len(positions)
+        inner, lcps, misses, moves = heads * (m - 1), heads * m, 0, 0
+    else:
+        fail = _failure_function(pat)
+        # skipped[x]: the lcp summed over the windows 1..x bytes after a
+        # window KMP matched and skipped; only one that starts with pat[0] has any.
+        skipped = [0, *accumulate(pat[d] == pat[0] and _lcp(pat[d:], pat) for d in range(1, m))]
+        head = pat[:top]
+        heads = inner = lcps = misses = moves = 0
+        k = text.find(head, 0, n)
+        while k >= 0:
+            a, i, j = k, k + top, top  # a: the window being matched
+            while i < n:
+                if text[i] == pat[j]:
+                    i += 1
+                    j += 1
+                    if j < m:
+                        continue
+                else:
+                    misses += 1
+                f = fail[j - 1]
+                if a <= last:
+                    lcps += j + skipped[min(j - f - 1, last - a)]
+                if not f:
+                    break
+                a, j = i - f, f
+                moves += i < n
+            heads += text.count(pat[:1], k, i)
+            inner += i - k - 1
+            if i > last + 1:
+                spans.append(range(k, i))
+            k = text.find(head, i, n)
 
-    i = j = 0
-    while i < n:
-        if j == 0:
-            k = text.find(head, i)
-            end = n if k < 0 else k
-            scanned += end - i
-            if levels := _prefix_counts(text, partials, i, end - 1):
-                misses += levels[0]
-                scanned -= sum(levels) - levels[0]
-                tail = n - text.rfind(pat[0], i) if k < 0 else m  # from the last pat[0] on
-                if tail < m and text.startswith(pat[:tail], n - tail):
-                    misses -= 1  # the text ends inside the last partial match
-            if k < 0:
-                i = n
-                break
-            scanned += 1  # the pat[0] at k, read at state 0
-            i, j = k + top, top
-        elif text[i] == pat[j]:
-            i += 1
-            j += 1
-        else:
-            misses += 1
-            j = fail[j - 1]
-            if j:
-                moves += 1
-            continue
-        if j == m:
-            positions.append(i - m)
-            j = fail[j - 1]
-            if j and i < n:
-                moves += 1
+    # Outside the regions, the pat[0]s after last match up to the text's end.
+    tail = ended = 0
+    for p in range(last + 1, n):
+        if text[p] == pat[0] and not any(p in span for span in spans):
+            lcp = _lcp(text[p:n], pat)
+            tail += lcp
+            ended = p + lcp == n  # the text ends inside the last partial match
 
-    # Each text byte read at state 0 or matched at a state above 0 moved
-    # i on by one; the misses at a state above 0 did not.
-    comparisons, alignments = i + misses, scanned + moves
-    return SearchOutcome(positions=positions, comparisons=comparisons, alignments=alignments)
+    # Outside the regions each pat[0] matches its lcp, the first byte in state 0.
+    outside = text.count(pat[:1], 0, n) - heads
+    matched = naive.comparisons - naive.alignments + len(positions) - lcps + tail - outside
+    comparisons = n + outside - ended + misses
+    alignments = n - matched - inner + moves
+    return SearchOutcome(positions=positions[:], comparisons=comparisons, alignments=alignments)
 
 
 def _horspool_walk(

@@ -243,7 +243,7 @@ class TestRunBenchmark:
                 assert row_first.counts[algo] <= row_all.counts[algo]
 
     def test_disagreement_detected(self, monkeypatch):
-        def broken_kmp(query):
+        def broken_kmp(query, naive=None):
             return SearchOutcome(positions=[999])
 
         monkeypatch.setattr(bench_module, "kmp_search", broken_kmp)
@@ -252,8 +252,8 @@ class TestRunBenchmark:
         assert exc_info.value.first_difference == 0
 
     def test_disagreement_on_a_dropped_last_position(self, monkeypatch):
-        def kmp_drops_the_last(query):
-            outcome = kmp_search(query)
+        def kmp_drops_the_last(query, naive=None):
+            outcome = kmp_search(query, naive)
             outcome.positions.pop()
             return outcome
 
@@ -263,7 +263,7 @@ class TestRunBenchmark:
         assert exc_info.value.first_difference == 2
 
     def test_disagreement_message_quotes_the_label(self, monkeypatch):
-        monkeypatch.setattr(bench_module, "kmp_search", lambda query: SearchOutcome())
+        monkeypatch.setattr(bench_module, "kmp_search", lambda query, naive=None: SearchOutcome())
         with pytest.raises(MatcherDisagreement) as exc_info:
             run_benchmark(Corpus(b"a\nb\xff", "tiny"), (b"a\nb\xff",))
         assert str(exc_info.value) == (

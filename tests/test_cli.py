@@ -285,6 +285,20 @@ class TestBench:
         assert (proc.returncode, proc.stderr) == (0, b"")
         assert proc.stdout.decode().splitlines()[0] == f"corpus: {shown} (6 bytes), mode: all"
 
+    @pytest.mark.parametrize(
+        "name,shown", [(b"a\nb.txt", "a\\x0ab.txt"), (b"c\xff.txt", "c\\xff.txt")],
+        ids=["line-break", "not-utf8"],
+    )
+    def test_json_names_the_corpus_as_the_caption_does(self, tmp_path, monkeypatch, name, shown):
+        (tmp_path / os.fsdecode(name)).write_bytes(b"p1 p22")
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run_cli(["bench", os.fsdecode(name), PATTERNS, "--format", "json"])
+        assert code == 0
+        # A lone surrogate would fail the strict round trip.
+        source_name = json.loads(out.encode("utf-8"))["corpus_meta"]["source_name"]
+        assert source_name == shown
+        assert source_name.encode("utf-8").decode("utf-8") == shown
+
     def test_unknown_format_is_usage_error(self):
         code, _, _ = run_cli(["bench", CORPUS, PATTERNS, "--format", "xml"])
         assert code == 2
@@ -333,6 +347,24 @@ class TestUsage:
         assert err.startswith("error: ")
         assert err.splitlines(keepends=True) == [err]
         assert "\\x0a" in err
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [(["bench", "no\udcff.txt", PATTERNS],
+          "error: cannot read corpus from no\\xff.txt: No such file or directory\n"),
+         (["bench", "e\udcff.txt", PATTERNS], "error: corpus e\\xff.txt is empty\n"),
+         (["anchor", "ab", "--freq-table", "t\udcff.tsv"],
+          "error: frequency table t\\xff.tsv is not UTF-8: 'utf-8' codec can't decode byte 0xff"
+          " in position 0: invalid start byte\n")],
+        ids=["missing-corpus", "empty-corpus", "table-not-utf8"],
+    )
+    def test_error_names_a_file_as_reports_do(self, tmp_path, monkeypatch, argv, message):
+        # A name that is not UTF-8 prints as show() prints its bytes, once,
+        # followed by the system's reason alone.
+        (tmp_path / "e\udcff.txt").write_bytes(b"")
+        (tmp_path / "t\udcff.tsv").write_bytes(b"\xff\t1\n")
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(argv) == (2, "", message)
 
     def test_parser_is_built_once_per_process(self, monkeypatch):
         def rebuilt():
