@@ -10,10 +10,10 @@ first occurrence, as ``bytes.find`` finds it, so its counts are those
 of ALL_MATCHES over that prefix. The naive matcher counts with
 ``bytes.count`` the windows that start with a prefix of the pattern in
 which ``pat[0]`` does not recur, and runs Python only from that
-prefix's occurrences, found by ``bytes.find``. KMP derives its counts
-from naive's and runs Python only where ``pat[0]`` recurs inside a
-partial match. So their counts are those of a per-window loop at a
-fraction of its time.
+prefix's occurrences, found by ``bytes.find``. KMP runs Python only
+where ``pat[0]`` recurs inside a partial match and counts the rest
+from naive's counts, or without them with ``bytes.count``. So their
+counts are those of a per-window loop at a fraction of its time.
 
 The fbas matcher keeps Horspool's bad-character shift rule untouched
 and changes only the verification order inside a window: the pattern's
@@ -198,98 +198,119 @@ def _failure_function(pat: bytes) -> list[int]:
     return fail
 
 
-def _lcp(a: bytes, b: bytes) -> int:
-    """The length of the common prefix of ``a`` and ``b``."""
-    return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+def _z_function(pat: bytes) -> list[int]:
+    # z[d]: the length of the common prefix of pat[d:] and pat; z[0] = 0.
+    m, left, right = len(pat), 0, 0
+    z = [0] * m
+    for d in range(1, m):
+        k = min(right - d, z[d - left]) if d < right else 0
+        while d + k < m and pat[k] == pat[d + k]:
+            k += 1
+        z[d] = k
+        if d + k > right:
+            left, right = d, d + k
+    return z
 
 
 def kmp_search(query: SearchQuery, naive: SearchOutcome | None = None) -> SearchOutcome:
-    """Knuth-Morris-Pratt with the classic failure function, counted from
-    ``naive``, the outcome of ``naive_search`` on the same query (which
-    it runs when not given).
+    """Knuth-Morris-Pratt with the classic failure function.
 
-    Only search-phase comparisons are counted; building the failure
-    function is preprocessing. An alignment is a distinct value of the
-    implicit window start (text index minus pattern index) at which at
-    least one comparison was made: every byte read in state 0, and every
-    fall to a state above 0 that a comparison follows (a move). KMP
-    reads each of the n bytes once in a comparison that moves on, plus
-    one miss per failed partial match above state 0, so
-    ``comparisons = n + misses`` and ``alignments = n - bytes matched
-    above state 0 + moves``.
+    ``naive`` is the ``naive_search`` outcome of the same query, run if
+    needed; ValueError if a given one's alignments or match count differ.
+    Only search-phase comparisons are counted. An alignment is a
+    distinct window start (text index minus pattern index) at which a
+    comparison was made: each byte read in state 0, and each fall to a
+    state above 0 that a comparison follows (a move). KMP reads each of
+    the n bytes once in a comparison that moves on, plus one miss per
+    failed partial match above state 0, so ``comparisons = n + misses``
+    and ``alignments = n - bytes matched above state 0 + moves``.
 
-    A region starts at each ``pat[:K]`` that KMP reads in state 0, where
-    K is where ``pat[0]`` first recurs (m if it does not), and ends where
-    the state falls back to 0. It is replayed byte by byte, which gives
-    its misses, moves and matched bytes, and the common prefix with the
-    pattern of every window that starts in it: the windows KMP skips
-    after a window it matched j bytes of have ``lcp(pat[d:], pat)``, for
-    d below ``j - fail[j - 1]``. When K = m the regions are the matches.
-    Outside them ``pat[0]`` does not recur in a partial match, so each
-    ``pat[0]`` starts one that fails at one miss (unless the text ends
-    first), having matched its window's lcp; naive's counts give the sum
-    of those over windows 0..n-m, ``comparisons - alignments + matches``,
-    and the few ``pat[0]`` after n-m are scanned.
+    A region starts at each ``pat[:K]`` read in state 0, K being where
+    ``pat[0]`` first recurs (m if it does not, when the regions are the
+    matches), and ends where the state falls back to 0. It is replayed
+    byte by byte. Outside the regions each ``pat[0]`` starts a partial
+    match that fails at one miss (unless the text ends first), having
+    matched its window's lcp, below K; the few after n-m are scanned.
+    Up to window n-m those lcps sum to naive's ``comparisons -
+    alignments + matches`` less the regions' windows' lcps: m for a
+    match, and ``z[d]`` for each window d bytes after one KMP matched j
+    bytes of and skips, d below ``j - fail[j - 1]``. Without ``naive``,
+    for K < m (where naive_search is O(n * m)), they are ``bytes.count``
+    of each ``pat[:h]``, h < K, less the regions' share: O(n + m) steps.
     """
     text, pat = query.text, query.pattern
     n, m = _end(query), len(pat)
     if n < m:
         return SearchOutcome()
-    if naive is None:
-        naive = naive_search(query)
-    positions, last = naive.positions, n - m
-    top = pat.find(pat[:1], 1)  # K, or -1 for K = m
-    # Over the regions: pat[0]s, bytes past the first, the lcp of each
-    # window up to last, misses, moves, and those that reach past last.
-    spans = []
+    last, top = n - m, pat.find(pat[:1], 1)  # top: K, or -1 for K = m
+    positions, covered = [], set()  # covered: the positions after last in a region
+    outside = text.count(pat[:1], 0, last + 1)  # less those in regions
     if top < 0:  # each match is a region, with one pat[0] and no miss or move
-        heads = len(positions)
-        inner, lcps, misses, moves = heads * (m - 1), heads * m, 0, 0
+        if naive is None:
+            naive = naive_search(query)
+            positions = naive.positions[:]
+        else:
+            k = text.find(pat, 0, n)
+            while k >= 0:
+                positions.append(k)
+                k = text.find(pat, k + m, n)
+        lcps, inner, misses, moves = len(positions) * m, len(positions) * (m - 1), 0, 0
+        outside -= len(positions)
     else:
         fail = _failure_function(pat)
-        # skipped[x]: the lcp summed over the windows 1..x bytes after a
-        # window KMP matched and skipped; only one that starts with pat[0] has any.
-        skipped = [0, *accumulate(pat[d] == pat[0] and _lcp(pat[d:], pat) for d in range(1, m))]
-        head = pat[:top]
-        heads = inner = lcps = misses = moves = 0
+        if naive is not None:  # skipped[x]: the z summed over the windows 1..x bytes on
+            skipped = [0, *accumulate(_z_function(pat)[1:])]
+        head, lows = pat[:top], [] if naive is not None else [pat[:h] for h in range(2, top)]
+        below = sum(text.count(low, 0, last + len(low)) for low in lows)
+        lcps = inner = misses = moves = 0
         k = text.find(head, 0, n)
         while k >= 0:
-            a, i, j = k, k + top, top  # a: the window being matched
+            i, j = k + top, top
             while i < n:
                 if text[i] == pat[j]:
                     i += 1
                     j += 1
                     if j < m:
                         continue
+                    positions.append(i - m)
                 else:
                     misses += 1
                 f = fail[j - 1]
-                if a <= last:
-                    lcps += j + skipped[min(j - f - 1, last - a)]
+                if naive is not None and i - j <= last:  # i - j: the window matched
+                    lcps += j + skipped[min(j - f - 1, last - i + j)]
                 if not f:
                     break
-                a, j = i - f, f
+                j = f
                 moves += i < n
-            heads += text.count(pat[:1], k, i)
+            # Take the region's windows up to last out of the counts.
+            end = min(i - 1, last)
+            outside -= text.count(pat[:1], k, end + 1)
+            for low in lows:
+                below -= text.count(low, k, end + len(low))
             inner += i - k - 1
             if i > last + 1:
-                spans.append(range(k, i))
+                covered.update(range(max(k, last + 1), i))
             k = text.find(head, i, n)
+    if naive is not None:
+        if naive.alignments != last + 1 or len(naive.positions) != len(positions):
+            raise ValueError("naive is not the naive_search outcome of this query")
+        below = naive.comparisons - naive.alignments + len(positions) - lcps - outside
 
     # Outside the regions, the pat[0]s after last match up to the text's end.
-    tail = ended = 0
+    ended = False
     for p in range(last + 1, n):
-        if text[p] == pat[0] and not any(p in span for span in spans):
-            lcp = _lcp(text[p:n], pat)
-            tail += lcp
-            ended = p + lcp == n  # the text ends inside the last partial match
+        if text[p] == pat[0] and p not in covered:
+            j = 1
+            while p + j < n and text[p + j] == pat[j]:
+                j += 1
+            outside += 1
+            below += j - 1
+            ended = p + j == n  # the text ends inside the last partial match
 
-    # Outside the regions each pat[0] matches its lcp, the first byte in state 0.
-    outside = text.count(pat[:1], 0, n) - heads
-    matched = naive.comparisons - naive.alignments + len(positions) - lcps + tail - outside
+    # below: the bytes matched after each pat[0] outside the regions.
     comparisons = n + outside - ended + misses
-    alignments = n - matched - inner + moves
-    return SearchOutcome(positions=positions[:], comparisons=comparisons, alignments=alignments)
+    alignments = n - below - inner + moves
+    return SearchOutcome(positions=positions, comparisons=comparisons, alignments=alignments)
 
 
 def _horspool_walk(

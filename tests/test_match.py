@@ -24,7 +24,8 @@ from fbas import (
     search,
     select_anchor,
 )
-from fbas.match import _failure_function, _horspool_walk
+import fbas.match as match_module
+from fbas.match import _failure_function, _horspool_walk, _z_function
 from helpers import (
     oracle_positions,
     per_window_horspool_walk,
@@ -217,6 +218,54 @@ class TestKmp:
         text, pattern = case
         outcome = kmp_search(SearchQuery(text, pattern))
         assert outcome.comparisons <= 2 * len(text)
+
+    def test_naive_of_another_query_is_refused(self):
+        # Another pattern, mode or text, and a naive outcome missing a match,
+        # both where pat[0] recurs ("abra", "abcab") and where it does not.
+        text = "abracadabra abcabcabcab"
+        for query, other in (("abra", "cad"), ("abra", "abrx"), ("bc", "ca"), ("abcab", "abcab")):
+            naive = naive_search(SearchQuery(text, other))
+            if query == other:
+                naive.positions.pop()
+            with pytest.raises(ValueError, match="naive"):
+                kmp_search(SearchQuery(text, query), naive)
+        for mode, pattern in itertools.product(Mode, ("abra", "bc")):
+            other = SearchQuery(text + "x", pattern, ALL if mode is FIRST else FIRST)
+            with pytest.raises(ValueError, match="naive"):
+                kmp_search(SearchQuery(text, pattern, mode), naive_search(other))
+
+    def test_periodic_text_counts_in_linear_steps(self, monkeypatch):
+        # naive_search verifies each window from pat[:K] in Python, so on
+        # periodic text where pat[0] recurs it takes O(n * m) steps; KMP on
+        # its own must not call it. Closed forms: a^m matches every window
+        # without a miss, and a^(m-1)b misses once on every byte from m - 1.
+        n = 6000
+        counts = {}
+        monkeypatch.setattr(match_module, "naive_search", None)
+        for m in (8, 64, 2000):
+            for pattern in (b"a" * m, b"a" * (m - 1) + b"b"):
+                counts[pattern] = kmp_search(SearchQuery(b"a" * n, pattern))
+        monkeypatch.undo()
+        for pattern, outcome in counts.items():
+            m = len(pattern)
+            if pattern[-1:] == b"a":
+                expected = (list(range(n - m + 1)), n, n - m + 1)
+            else:
+                expected = ([], 2 * n - (m - 1), n - m + 2)
+            assert (outcome.positions, outcome.comparisons, outcome.alignments) == expected
+            if m <= 64:
+                query = SearchQuery(b"a" * n, pattern)
+                assert kmp_search(query, naive_search(query)) == outcome
+
+    def test_z_function(self):
+        # z[d] is the common prefix of pattern[d:] and the pattern; z[0] = 0.
+        for m in range(1, 11):
+            for pattern in map(bytes, itertools.product(b"ab", repeat=m)):
+                expected = [0] + [
+                    max(k for k in range(m - d + 1) if pattern[d:d + k] == pattern[:k])
+                    for d in range(1, m)
+                ]
+                assert _z_function(pattern) == expected, pattern
 
 
 class TestBmh:
