@@ -10,10 +10,11 @@ first occurrence, as ``bytes.find`` finds it, so its counts are those
 of ALL_MATCHES over that prefix. The naive matcher counts with
 ``bytes.count`` the windows that start with a prefix of the pattern in
 which ``pat[0]`` does not recur, and runs Python only from that
-prefix's occurrences, found by ``bytes.find``. KMP runs Python only
-where ``pat[0]`` recurs inside a partial match and counts the rest
-from naive's counts, or without them with ``bytes.count``. So their
-counts are those of a per-window loop at a fraction of its time.
+prefix's occurrences, found by ``bytes.find``. KMP takes its counts
+from naive's when ``pat[0]`` does not recur in the pattern; otherwise
+it runs Python only where ``pat[0]`` recurs inside a partial match and
+counts the rest with ``bytes.count``. So their counts are those of a
+per-window loop at a fraction of its time.
 
 The fbas matcher keeps Horspool's bad-character shift rule untouched
 and changes only the verification order inside a window: the pattern's
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import enum
 from collections import namedtuple
-from itertools import accumulate, repeat
+from itertools import repeat
 from types import SimpleNamespace
 
 from ._bytes import as_bytes, byte_value
@@ -198,73 +199,70 @@ def _failure_function(pat: bytes) -> list[int]:
     return fail
 
 
-def _z_function(pat: bytes) -> list[int]:
-    # z[d]: the length of the common prefix of pat[d:] and pat; z[0] = 0.
-    m, left, right = len(pat), 0, 0
-    z = [0] * m
-    for d in range(1, m):
-        k = min(right - d, z[d - left]) if d < right else 0
-        while d + k < m and pat[k] == pat[d + k]:
-            k += 1
-        z[d] = k
-        if d + k > right:
-            left, right = d, d + k
-    return z
-
-
 def kmp_search(query: SearchQuery, naive: SearchOutcome | None = None) -> SearchOutcome:
     """Knuth-Morris-Pratt with the classic failure function.
 
-    ``naive`` is the ``naive_search`` outcome of the same query, run if
-    needed; ValueError if a given one's alignments or match count differ.
-    Only search-phase comparisons are counted. An alignment is a
-    distinct window start (text index minus pattern index) at which a
-    comparison was made: each byte read in state 0, and each fall to a
-    state above 0 that a comparison follows (a move). KMP reads each of
-    the n bytes once in a comparison that moves on, plus one miss per
-    failed partial match above state 0, so ``comparisons = n + misses``
-    and ``alignments = n - bytes matched above state 0 + moves``.
+    ``naive`` is the ``naive_search`` outcome of the same query; it only
+    saves work. ValueError if its alignments or positions differ from
+    this query's. Only search-phase comparisons are counted. An
+    alignment is a distinct window start (text index minus pattern
+    index) at which a comparison was made: each byte read in state 0,
+    and each fall to a state above 0 that a comparison follows (a move).
+    KMP reads each of the n bytes once in a comparison that moves on,
+    plus one miss per failed partial match above state 0, so
+    ``comparisons = n + misses`` and ``alignments = n - bytes matched
+    above state 0 + moves``.
 
     A region starts at each ``pat[:K]`` read in state 0, K being where
-    ``pat[0]`` first recurs (m if it does not, when the regions are the
-    matches), and ends where the state falls back to 0. It is replayed
-    byte by byte. Outside the regions each ``pat[0]`` starts a partial
-    match that fails at one miss (unless the text ends first), having
-    matched its window's lcp, below K; the few after n-m are scanned.
-    Up to window n-m those lcps sum to naive's ``comparisons -
-    alignments + matches`` less the regions' windows' lcps: m for a
-    match, and ``z[d]`` for each window d bytes after one KMP matched j
-    bytes of and skips, d below ``j - fail[j - 1]``. Without ``naive``,
-    for K < m (where naive_search is O(n * m)), they are ``bytes.count``
-    of each ``pat[:h]``, h < K, less the regions' share: O(n + m) steps.
+    ``pat[0]`` first recurs (m if it does not), and ends where the state
+    falls back to 0. Outside the regions each ``pat[0]`` starts a
+    partial match that matches its lcp, below K and cut at the text's
+    end, then fails at one miss unless the text ends first, as only the
+    last ``pat[0]`` can. The pattern picks one of two ways to sum these
+    lcps:
+
+    - K = m: the regions are the matches, found by ``bytes.find``, with
+      no miss or move. Up to window n-m the lcps sum to naive's
+      ``comparisons - alignments + matches`` less m per match; naive is
+      run if not given (it is linear here). After n-m, where no match
+      starts, ``bytes.count`` of each ``pat[:h]``, h < m, gives them.
+    - K < m: each region is replayed byte by byte with the failure
+      function. Between regions, and after the last, the lcps are
+      ``bytes.count`` of each ``pat[:h]``, h < K: O(n + m) steps. Such
+      a ``pat[:h]`` does not overlap itself, and one that starts before
+      a region ends before it, as the region starts with ``pat[0]``.
     """
     text, pat = query.text, query.pattern
     n, m = _end(query), len(pat)
     if n < m:
         return SearchOutcome()
     last, top = n - m, pat.find(pat[:1], 1)  # top: K, or -1 for K = m
-    positions, covered = [], set()  # covered: the positions after last in a region
-    outside = text.count(pat[:1], 0, last + 1)  # less those in regions
+    positions, end = [], 0  # end: where the last region ends
     if top < 0:  # each match is a region, with one pat[0] and no miss or move
+        k = text.find(pat, 0, n)
+        while k >= 0:
+            positions.append(k)
+            end = k + m
+            k = text.find(pat, end, n)
         if naive is None:
             naive = naive_search(query)
-            positions = naive.positions[:]
-        else:
-            k = text.find(pat, 0, n)
-            while k >= 0:
-                positions.append(k)
-                k = text.find(pat, k + m, n)
-        lcps, inner, misses, moves = len(positions) * m, len(positions) * (m - 1), 0, 0
-        outside -= len(positions)
+        inner, misses, moves = (m - 1) * len(positions), 0, 0
+        outside = text.count(pat[:1], 0, n) - len(positions)
+        # naive's lcps less m per match, plus the tail's, less 1 per pat[0]
+        below = naive.comparisons - naive.alignments - inner - outside + sum(
+            text.count(pat[:h], last + 1, n) for h in range(1, m))
     else:
         fail = _failure_function(pat)
-        if naive is not None:  # skipped[x]: the z summed over the windows 1..x bytes on
-            skipped = [0, *accumulate(_z_function(pat)[1:])]
-        head, lows = pat[:top], [] if naive is not None else [pat[:h] for h in range(2, top)]
-        below = sum(text.count(low, 0, last + len(low)) for low in lows)
-        lcps = inner = misses = moves = 0
-        k = text.find(head, 0, n)
-        while k >= 0:
+        head, levels = pat[:top], [pat[:h] for h in range(2, top)]
+        outside = below = inner = misses = moves = 0
+        while True:
+            k = text.find(head, end, n)
+            stop = n if k < 0 else k  # the gap before the next region, or the tail
+            outside += text.count(pat[:1], end, stop)
+            for level in levels:
+                below += text.count(level, end, stop)
+            if k < 0:
+                break
             i, j = k + top, top
             while i < n:
                 if text[i] == pat[j]:
@@ -275,39 +273,19 @@ def kmp_search(query: SearchQuery, naive: SearchOutcome | None = None) -> Search
                     positions.append(i - m)
                 else:
                     misses += 1
-                f = fail[j - 1]
-                if naive is not None and i - j <= last:  # i - j: the window matched
-                    lcps += j + skipped[min(j - f - 1, last - i + j)]
-                if not f:
+                j = fail[j - 1]
+                if not j:
                     break
-                j = f
                 moves += i < n
-            # Take the region's windows up to last out of the counts.
-            end = min(i - 1, last)
-            outside -= text.count(pat[:1], k, end + 1)
-            for low in lows:
-                below -= text.count(low, k, end + len(low))
             inner += i - k - 1
-            if i > last + 1:
-                covered.update(range(max(k, last + 1), i))
-            k = text.find(head, i, n)
-    if naive is not None:
-        if naive.alignments != last + 1 or len(naive.positions) != len(positions):
-            raise ValueError("naive is not the naive_search outcome of this query")
-        below = naive.comparisons - naive.alignments + len(positions) - lcps - outside
+            end = i
+    if naive is not None and (naive.alignments != last + 1 or naive.positions != positions):
+        raise ValueError("naive is not the naive_search outcome of this query")
 
-    # Outside the regions, the pat[0]s after last match up to the text's end.
-    ended = False
-    for p in range(last + 1, n):
-        if text[p] == pat[0] and p not in covered:
-            j = 1
-            while p + j < n and text[p + j] == pat[j]:
-                j += 1
-            outside += 1
-            below += j - 1
-            ended = p + j == n  # the text ends inside the last partial match
-
-    # below: the bytes matched after each pat[0] outside the regions.
+    # outside: the pat[0]s outside the regions; below: the bytes they
+    # match after pat[0]; ended: the text ends inside the last one's match.
+    p = text.rfind(pat[:1], end, n)
+    ended = p >= 0 and text.startswith(pat[:n - p], p, n)
     comparisons = n + outside - ended + misses
     alignments = n - below - inner + moves
     return SearchOutcome(positions=positions, comparisons=comparisons, alignments=alignments)

@@ -25,7 +25,7 @@ from fbas import (
     select_anchor,
 )
 import fbas.match as match_module
-from fbas.match import _failure_function, _horspool_walk, _z_function
+from fbas.match import _failure_function, _horspool_walk
 from helpers import (
     oracle_positions,
     per_window_horspool_walk,
@@ -233,6 +233,22 @@ class TestKmp:
             other = SearchQuery(text + "x", pattern, ALL if mode is FIRST else FIRST)
             with pytest.raises(ValueError, match="naive"):
                 kmp_search(SearchQuery(text, pattern, mode), naive_search(other))
+        # Another pattern with the same alignments and match count.
+        text = b"xab yba zzab ba"
+        with pytest.raises(ValueError, match="naive"):
+            kmp_search(SearchQuery(text, "ab"), naive_search(SearchQuery(text, "ba")))
+
+    def test_standalone_checks_the_naive_it_runs(self, monkeypatch):
+        # Where pat[0] does not recur, KMP runs naive_search for its counts
+        # but finds its own matches, so a naive outcome missing one is refused.
+        def dropping_last(query):
+            outcome = naive_search(query)
+            outcome.positions.pop()
+            return outcome
+
+        monkeypatch.setattr(match_module, "naive_search", dropping_last)
+        with pytest.raises(ValueError, match="naive"):
+            kmp_search(SearchQuery("abracadabra", "cad"))
 
     def test_periodic_text_counts_in_linear_steps(self, monkeypatch):
         # naive_search verifies each window from pat[:K] in Python, so on
@@ -256,16 +272,6 @@ class TestKmp:
             if m <= 64:
                 query = SearchQuery(b"a" * n, pattern)
                 assert kmp_search(query, naive_search(query)) == outcome
-
-    def test_z_function(self):
-        # z[d] is the common prefix of pattern[d:] and the pattern; z[0] = 0.
-        for m in range(1, 11):
-            for pattern in map(bytes, itertools.product(b"ab", repeat=m)):
-                expected = [0] + [
-                    max(k for k in range(m - d + 1) if pattern[d:d + k] == pattern[:k])
-                    for d in range(1, m)
-                ]
-                assert _z_function(pattern) == expected, pattern
 
 
 class TestBmh:
