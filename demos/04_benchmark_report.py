@@ -2,8 +2,8 @@
 
 Runs all four matchers for every pattern in the bundled 12-pattern set,
 checks that they agree on positions, and renders the comparison-count
-table. CSV and JSON renderings carry full-precision values, plus
-per-pattern improvement and speedup series for plotting.
+table. CSV and JSON renderings carry full-precision values; each JSON
+row holds its pattern's counts and statistics.
 """
 import json
 from pathlib import Path
@@ -25,12 +25,13 @@ for row in report.rows:
     print(f"  {row.label!r:16} anchor {row.anchor.char!r} at index {row.anchor.index} "
           f"(score {row.anchor.score}), {row.occurrences} occurrence(s)")
 
-# 3. The JSON document embeds plot-ready series.
+# 3. The JSON document's rows, one per pattern, at full precision.
 doc = json.loads(render_report(report, ReportFormat.JSON))
-print("\nimprovement % by pattern (JSON series):")
-for label, imp in zip(doc["series"]["patterns"], doc["series"]["improvement_pct"]):
+print("\nimprovement % by pattern (JSON rows):")
+for row in doc["rows"]:
+    imp = row["improvement_pct"]
     bar = "#" * round(imp * 4)
-    print(f"  {label:14} {imp:6.2f}  {bar}")
+    print(f"  {row['pattern']:14} {imp:6.2f}  {bar}")
 
 # 4. The report's totals: counts keyed by matcher name, in ALGORITHMS order.
 counts, stats = report.counts, report.stats

@@ -18,7 +18,9 @@ from ._bytes import as_bytes, read_source, show, show_name
 from ._record import Constructed
 from .errors import EmptyCorpus, EmptyPattern, MatcherDisagreement
 from .freq import AnchorSelection, FrequencyTable
-from .match import ALGORITHMS, Mode, SearchQuery, bmh_search, fbas_search, kmp_search, naive_search
+from .match import (
+    ALGORITHMS, Mode, SearchQuery, _first_difference, bmh_search, fbas_search, kmp_search, naive_search,
+)
 from .metrics import aggregate_stats, derive_stats, present
 
 _UTF8_BOM = b"\xef\xbb\xbf"
@@ -123,14 +125,6 @@ class ReportFormat(enum.Enum):
     MARKDOWN = "markdown"
 
 
-def _first_difference(reference: list[int], other: list[int]) -> int:
-    for i, (a, b) in enumerate(zip(reference, other)):
-        if a != b:
-            return min(a, b)
-    longer = reference if len(reference) > len(other) else other
-    return longer[min(len(reference), len(other))]
-
-
 def run_benchmark(
     corpus: Corpus,
     patterns: Iterable[str | bytes],
@@ -144,8 +138,9 @@ def run_benchmark(
     an empty one, raises EmptyPattern. Duplicates are allowed and get
     flagged on their later rows. Position lists must agree across
     matchers for each pattern; any disagreement raises
-    MatcherDisagreement, since shifts never skip an occurrence and all
-    matchers implement the same match semantics.
+    MatcherDisagreement (ValueError from kmp_search for KMP), since
+    shifts never skip an occurrence and all matchers implement the same
+    match semantics.
     """
     if isinstance(patterns, (str, bytes, bytearray)):
         raise TypeError(f"expected an iterable of patterns, got a single {type(patterns).__name__}")
@@ -289,16 +284,6 @@ def _render_json(report: BenchReport) -> str:
             for r in report.rows
         ],
         "totals": {**report.counts, **report.stats._asdict()},
-        # Per-pattern series for external plotting of improvements and speedups.
-        "series": {
-            "patterns": [r.label for r in report.rows],
-            "improvement_pct": [r.stats.improvement_pct for r in report.rows],
-            "speedup_fbas_vs_naive": [r.stats.speedup_vs_naive for r in report.rows],
-            "speedup_bmh_vs_naive": [
-                r.counts["naive"] / r.counts["bmh"] if r.counts["bmh"] > 0 else None
-                for r in report.rows
-            ],
-        },
     }
     return json.dumps(doc, indent=2) + "\n"
 

@@ -36,7 +36,8 @@ from __future__ import annotations
 
 import enum
 from collections import namedtuple
-from itertools import repeat
+from itertools import repeat, zip_longest
+from math import inf
 from types import SimpleNamespace
 
 from ._bytes import as_bytes, byte_value
@@ -185,6 +186,11 @@ def naive_search(query: SearchQuery) -> SearchOutcome:
     )
 
 
+def _first_difference(reference: list[int], other: list[int]) -> int:
+    # Both ascend, so at the first rank where they differ the smaller is in one only.
+    return next(min(a, b) for a, b in zip_longest(reference, other, fillvalue=inf) if a != b)
+
+
 def _failure_function(pat: bytes) -> list[int]:
     # Longest proper prefix of pat[:i+1] that is also its suffix.
     m = len(pat)
@@ -203,14 +209,15 @@ def kmp_search(query: SearchQuery, naive: SearchOutcome | None = None) -> Search
     """Knuth-Morris-Pratt with the classic failure function.
 
     ``naive`` is the ``naive_search`` outcome of the same query; it only
-    saves work. ValueError if its alignments or positions differ from
-    this query's. Only search-phase comparisons are counted. An
-    alignment is a distinct window start (text index minus pattern
-    index) at which a comparison was made: each byte read in state 0,
-    and each fall to a state above 0 that a comparison follows (a move).
-    KMP reads each of the n bytes once in a comparison that moves on,
-    plus one miss per failed partial match above state 0, so
-    ``comparisons = n + misses`` and ``alignments = n - bytes matched
+    saves work. ValueError if its alignments differ from this query's,
+    or if its positions differ from KMP's matches; the message then
+    names the first position that differs. Only search-phase comparisons
+    are counted. An alignment is a distinct window start (text index
+    minus pattern index) at which a comparison was made: each byte read
+    in state 0, and each fall to a state above 0 that a comparison
+    follows (a move). KMP reads each of the n bytes once in a comparison
+    that moves on, plus one miss per failed partial match above state 0,
+    so ``comparisons = n + misses`` and ``alignments = n - bytes matched
     above state 0 + moves``.
 
     A region starts at each ``pat[:K]`` read in state 0, K being where
@@ -279,8 +286,13 @@ def kmp_search(query: SearchQuery, naive: SearchOutcome | None = None) -> Search
                 moves += i < n
             inner += i - k - 1
             end = i
-    if naive is not None and (naive.alignments != last + 1 or naive.positions != positions):
+    if naive is not None and naive.alignments != last + 1:
         raise ValueError("naive is not the naive_search outcome of this query")
+    if naive is not None and naive.positions != positions:
+        raise ValueError(
+            "kmp's matches differ from the given naive outcome"
+            f" (first differing position: {_first_difference(naive.positions, positions)})"
+        )
 
     # outside: the pat[0]s outside the regions; below: the bytes they
     # match after pat[0]; ended: the text ends inside the last one's match.

@@ -8,6 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import fbas.bench as bench_module
+import fbas.match as match_module
 import fbas.metrics as metrics_module
 from fbas import (
     BenchReport,
@@ -262,6 +263,16 @@ class TestRunBenchmark:
             run_benchmark(Corpus(b"aaaa", "tiny"), (b"aa",))
         assert exc_info.value.first_difference == 2
 
+    def test_disagreement_of_kmp_names_kmp(self, monkeypatch):
+        # KMP checks its matches against the naive outcome it is given; a
+        # failure function that loses the overlapping match must be blamed
+        # on KMP, not on naive.
+        monkeypatch.setattr(match_module, "_failure_function", lambda pat: [0] * len(pat))
+        with pytest.raises(ValueError) as exc_info:
+            run_benchmark(Corpus(b"ababab"), (b"abab",))
+        assert "kmp" in str(exc_info.value)
+        assert "first differing position: 2" in str(exc_info.value)
+
     def test_disagreement_message_quotes_the_label(self, monkeypatch):
         monkeypatch.setattr(bench_module, "kmp_search", lambda query, naive=None: SearchOutcome())
         with pytest.raises(MatcherDisagreement) as exc_info:
@@ -354,17 +365,15 @@ class TestRenderReport:
     def test_json_document_shape(self, fixture_corpus, fixture_patterns):
         report = run_benchmark(fixture_corpus, fixture_patterns)
         doc = json.loads(render_report(report, ReportFormat.JSON))
-        assert set(doc) == {"corpus_meta", "mode", "rows", "totals", "series"}
+        assert set(doc) == {"corpus_meta", "mode", "rows", "totals"}
         assert doc["corpus_meta"]["length"] == fixture_corpus.length
         assert doc["mode"] == "all"
         assert len(doc["rows"]) == 12
         row = doc["rows"][0]
         assert row["pattern"] == "inferno"
         assert row["anchor"] == {"index": 2, "char": "f", "score": 9}
-        series = doc["series"]
-        assert len(series["improvement_pct"]) == 12
-        assert len(series["speedup_fbas_vs_naive"]) == 12
-        assert len(series["speedup_bmh_vs_naive"]) == 12
+        for row in doc["rows"]:
+            assert {"improvement_pct", "speedup_vs_naive", "naive", "bmh"} <= set(row)
 
     def test_json_empty_rows_document(self):
         report = BenchReport(
